@@ -51,6 +51,12 @@ MAX_CONDOR_1121_PLACE_S = 10.0
 CONDOR_TOPOLOGY = "condor-1121" if FULL else "condor-sm-433"
 MIN_SPEEDUP = MIN_SPEEDUP_FULL if FULL else MIN_SPEEDUP_SMOKE
 
+#: Count gate on the new path: at least this share of the screened
+#: neighbor-list candidates must survive as collision pairs.  Gap-aware
+#: band labels keep non-resonant frequency levels out of the candidate
+#: set (~0.34 on condor-sm-433; adjacent-label pairing gave ~0.13).
+MIN_PAIR_YIELD = 0.25
+
 #: The PR 2 baseline path: every-iteration dense density recompute and
 #: an unbanded (spatial-only) neighbor-list grid.
 BASELINE = dict(incremental_density="off", freq_pair_banding=False)
@@ -99,6 +105,8 @@ def test_perf_incremental(results_dir):
     new = _run(CONDOR_TOPOLOGY)  # the new defaults
     old = _run(CONDOR_TOPOLOGY, **BASELINE)
     speedup = old["place_s"] / max(new["place_s"], 1e-9)
+    pair_yield = new["peak_collision_pairs"] / max(
+        new["peak_pair_candidates"], 1)
 
     report = {
         "bench": "perf_incremental",
@@ -112,6 +120,7 @@ def test_perf_incremental(results_dir):
         "condor_new": _strip(new),
         "condor_baseline": _strip(old),
         "condor_speedup": round(speedup, 2),
+        "condor_pair_yield": round(pair_yield, 3),
         "min_speedup": MIN_SPEEDUP,
     }
     text = json.dumps(report, indent=2)
@@ -138,3 +147,7 @@ def test_perf_incremental(results_dir):
     assert new["density_rescattered"] > 0
     # banding must shrink the candidate screening set vs the baseline
     assert new["peak_pair_candidates"] < old["peak_pair_candidates"]
+    assert pair_yield >= MIN_PAIR_YIELD, (
+        f"{CONDOR_TOPOLOGY}: {new['peak_collision_pairs']} pairs of "
+        f"{new['peak_pair_candidates']} candidates = {pair_yield:.3f} "
+        f"< {MIN_PAIR_YIELD}")

@@ -215,10 +215,11 @@ class GlobalPlacer:
         dens_norm = float(np.abs(dens.grad).sum())
         self._lambda_density = wl_norm / max(dens_norm, 1e-12) * 0.5
         if cfg.frequency_aware:
-            pairs, _ = self._freq_pairs(positions)
+            pairs, pair_index = self._freq_pairs(positions)
             if pairs.size:
                 _, freq_grad = frequency_energy_and_grad(
-                    positions, pairs, cfg.freq_force_smoothing_mm)
+                    positions, pairs, cfg.freq_force_smoothing_mm,
+                    pair_index=pair_index)
                 freq_norm = float(np.abs(freq_grad).sum())
                 self._lambda_freq = (cfg.initial_freq_weight * wl_norm
                                      / max(freq_norm, 1e-12))

@@ -109,14 +109,40 @@ _BAND_OFFSETS: Tuple[Tuple[int, int], ...] = (
 def frequency_bands(frequencies: np.ndarray, threshold: float) -> np.ndarray:
     """Integer band labels such that resonant pairs differ by <= 1 band.
 
-    Bands are ``floor(f / w)`` with a band width ``w`` slightly above
-    the detuning threshold — the same guard-band trick as the grid cell
-    size, so a pair at exactly the threshold detuning can never end up
-    two bands apart through float rounding.
+    Raw bands are ``floor(f / w)`` with a band width ``w`` slightly
+    above the detuning threshold — the same guard-band trick as the grid
+    cell size, so a pair at exactly the threshold detuning can never end
+    up two raw bands apart through float rounding.
+
+    Labels are then made gap-aware: walking the occupied raw bands in
+    order, the next band's label is one higher only if it is raw-adjacent
+    *and* its lowest frequency lies within ``w`` of the previous band's
+    highest; otherwise it is two higher.  No cross-band pair can be
+    resonant across such a step, so banded candidate generation (which
+    pairs each band with the one labelled directly above it) skips
+    them.  On discrete frequency plans whose levels sit further apart
+    than the threshold every level becomes isolated; where every
+    occupied band touches the next (continuous, e.g. disordered,
+    frequencies) every step is 1 and the labels equal the raw bands.
+    Labels are strictly monotone in the raw band.
     """
     width = max(float(threshold), 0.0) * (1.0 + 1e-9) + 1e-12
-    return np.floor(np.asarray(frequencies, dtype=float)
-                    / width).astype(np.int64)
+    freqs = np.asarray(frequencies, dtype=float)
+    raw = np.floor(freqs / width).astype(np.int64)
+    if raw.size == 0:
+        return raw
+    # floor(f / w) is monotone in f, so one sort orders the raw bands and
+    # puts each band's min and max at the ends of its run.
+    order = np.argsort(freqs, kind="stable")
+    f, r = freqs[order], raw[order]
+    start = np.flatnonzero(np.diff(r)) + 1
+    close = ((r[start] - r[start - 1] == 1)
+             & (f[start] - f[start - 1] <= width))
+    step = np.zeros(raw.size, dtype=np.int64)
+    step[start] = np.where(close, 1, 2)
+    labels = np.empty_like(raw)
+    labels[order] = r[0] + np.cumsum(step)
+    return labels
 
 
 def grid_candidate_pairs(positions: np.ndarray, cutoff: float,
@@ -381,8 +407,8 @@ class PrunedCollisionPairs:
     lex order) to the precomputed dense collision map.
 
     With ``band_pairs`` (default) candidate generation adds a frequency
-    dimension to the grid (:func:`frequency_bands`): instances more than
-    one detuning-threshold band apart can never be resonant, so their
+    dimension to the grid (:func:`frequency_bands`): instances whose
+    band labels differ by more than one can never be resonant, so their
     spatial pairs are never materialised.  Profiling condor-sm-433
     placement showed the rebuild filter — millions of spatially-near
     but non-resonant candidates — at >90% of the run; banding removes
@@ -428,8 +454,12 @@ class PrunedCollisionPairs:
                                     bands=self._bands)
         self.peak_candidates = max(self.peak_candidates, int(a.size))
         if a.size:
-            delta = positions[a] - positions[b]
-            within = (delta * delta).sum(axis=1) <= reach * reach
+            # Per-column gathers: bit-equal to summing a gathered (m, 2)
+            # delta over its two columns, without the row gather.
+            x, y = positions[:, 0], positions[:, 1]
+            dx = x[a] - x[b]
+            dy = y[a] - y[b]
+            within = dx * dx + dy * dy <= reach * reach
             resonant = (np.abs(self._freqs[a] - self._freqs[b])
                         <= self._threshold)
             ra, rb = self._res[a], self._res[b]

@@ -241,6 +241,8 @@ class TestFrequencyBanding:
         bands = frequency_bands(freqs, threshold)
         assert abs(bands[0] - bands[1]) <= 1
         assert abs(bands[1] - bands[2]) <= 1
+        # Consecutive exact-threshold levels keep consecutive labels.
+        assert np.diff(bands).tolist() == [1, 1]
 
     def test_banded_candidates_cover_resonant_near_pairs(self):
         rng = np.random.default_rng(1)
@@ -297,3 +299,61 @@ class TestFrequencyBanding:
             assert np.array_equal(pairs_b, pairs_p)
             assert np.array_equal(index_b, index_p)
             assert banded.peak_candidates <= plain.peak_candidates
+
+    def test_labels_non_decreasing_in_frequency(self):
+        rng = np.random.default_rng(5)
+        freqs = np.concatenate([rng.uniform(4.8, 9.6, size=200),
+                                np.repeat([6.0, 6.111, 6.5, 7.3], 10)])
+        bands = frequency_bands(freqs, 0.1)
+        order = np.argsort(freqs, kind="stable")
+        assert (np.diff(bands[order]) >= 0).all()
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.17, 0.2])
+    def test_gap_aware_resonant_pairs_within_one_label(self, threshold):
+        rng = np.random.default_rng(6)
+        # Mixed plan: discrete levels, near-threshold clusters and noise.
+        freqs = np.concatenate([
+            np.repeat(5.0 + 0.111 * np.arange(8), 5),
+            5.0 + threshold * np.arange(6),
+            rng.uniform(6.0, 7.0, size=60),
+            rng.choice([7.5, 7.5 + threshold, 7.5 + 2.5 * threshold],
+                       size=30)])
+        bands = frequency_bands(freqs, threshold)
+        i, j = np.triu_indices(freqs.size, k=1)
+        resonant = np.abs(freqs[i] - freqs[j]) <= threshold
+        assert (np.abs(bands[i] - bands[j])[resonant] <= 1).all()
+
+    def test_discrete_levels_beyond_threshold_are_isolated(self):
+        levels = 6.0 + np.array([0.0, 0.111, 0.222, 0.345, 0.456, 0.589])
+        freqs = np.repeat(levels, 3)
+        bands = frequency_bands(freqs, 0.1)
+        level_labels = bands[::3]
+        assert (np.diff(level_labels) >= 2).all()
+        # ... so the banded grid never pairs two different levels.
+        positions = np.zeros((freqs.size, 2))
+        a, b = grid_candidate_pairs(positions, 1.0, bands=bands)
+        assert (freqs[a] == freqs[b]).all()
+
+    def test_empty_input(self):
+        bands = frequency_bands(np.zeros(0), 0.1)
+        assert bands.dtype == np.int64
+        assert bands.shape == (0,)
+
+    def test_banded_provider_matches_unbanded_on_condor(self):
+        problem = build_problem(
+            build_netlist(get_topology("condor-sm-433")), PlacerConfig())
+        providers = [
+            PrunedCollisionPairs(
+                problem.frequencies, problem.resonator_index,
+                problem.config.detuning_threshold_ghz,
+                cutoff_mm=3.0, skin_mm=1.0, band_pairs=banded)
+            for banded in (True, False)]
+        (pairs_b, index_b), (pairs_p, index_p) = (
+            provider.pairs(problem.initial_positions)
+            for provider in providers)
+        assert pairs_b.size
+        assert np.array_equal(pairs_b, pairs_p)
+        assert np.array_equal(index_b, index_p)
+        # Isolated levels: far fewer candidates than the spatial grid.
+        assert providers[0].peak_candidates \
+            < providers[1].peak_candidates / 2

@@ -7,6 +7,8 @@ from repro.core import PlacerConfig
 from repro.core.config import PLACER_CHOICES
 from repro.core.legalizer import Legalizer
 from repro.core.preprocess import build_problem
+from repro.devices.netlist import build_netlist
+from repro.devices.topology import get_topology
 from repro.placers import (Annealer, CostModel, ForceDirectedPlacer,
                            PortfolioPlacer, SimulatedAnnealingPlacer,
                            SubgraphPlacer, TrivialPlacer,
@@ -79,6 +81,24 @@ class TestSeedPlacers:
         distinct = len(np.unique(bands))
         head = bands[order[:distinct]]
         assert len(np.unique(head)) == distinct
+
+    @pytest.mark.parametrize("topology", ["grid-9", "eagle-127"])
+    def test_subgraph_order_matches_raw_band_labels(self, topology):
+        """Gap-aware band labels never reshuffle the subgraph seed."""
+        config = PlacerConfig()
+        problem = build_problem(build_netlist(get_topology(topology)),
+                                config)
+        width = config.detuning_threshold_ghz * (1.0 + 1e-9) + 1e-12
+        raw = np.floor(problem.frequencies / width).astype(np.int64)
+        n = raw.shape[0]
+        by_band = np.lexsort((np.arange(n), raw))
+        run_starts = np.flatnonzero(
+            np.diff(raw[by_band], prepend=raw[by_band[0]] - 1))
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_band] = np.arange(n) - np.repeat(
+            run_starts, np.diff(np.append(run_starts, n)))
+        expected = np.lexsort((raw, rank))
+        assert np.array_equal(band_round_robin_order(problem), expected)
 
     def test_seed_grid_is_deterministic(self, grid9_netlist):
         config = PlacerConfig()
