@@ -67,10 +67,11 @@ from ..io.serialization import canonical_json
 #:    ``detailed_passes`` / ``legalizer_screening``, and condor tiers
 #:    now run one detailed-placement pass by default (their cached
 #:    layouts change).
-#: 7: placer portfolio — PlacerConfig grew the ``placer`` switch plus
-#:    the SA/portfolio knobs (every config-bearing digest re-keys),
-#:    PlacementResult grew ``portfolio_scores`` (pickled suite shape
-#:    changed), and the service gained the ``refine`` request kind.
+#: 7: alternative placers — PlacerConfig grew the ``placer`` switch
+#:    plus the annealing/racing knobs (every config-bearing digest
+#:    re-keys), PlacementResult grew a per-member score dict (pickled
+#:    suite shape changed), and the service gained the ``refine``
+#:    request kind.
 #: 8: columnar circuits — MappedCircuit pickles lazily (arrays only, no
 #:    eager decoded circuit), MappingJob grew content-addressed
 #:    ``circuit_digest`` keying, and suites compile through the
@@ -79,7 +80,11 @@ from ..io.serialization import canonical_json
 #:    streams change every disorder realisation, map request digests
 #:    key on the circuit content digest (layer-1 coalescing), and the
 #:    service gained the ``ensemble`` request kind.
-CACHE_SCHEMA_VERSION = 9
+#: 10: alternative placers retired — PlacerConfig lost the ``placer``
+#:    switch and its 11 annealing/racing knobs (every config-bearing
+#:    digest re-keys), PlacementResult lost its per-member score dict
+#:    (pickled suite shape changed), and the ``refine`` kind is gone.
+CACHE_SCHEMA_VERSION = 10
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -407,43 +412,6 @@ def run_workload_shard(job: WorkloadShardJob):
     return fidelity_experiment(suite, benchmarks=names,
                                num_mappings=job.num_mappings,
                                base_seed=job.base_seed)
-
-
-@dataclass(frozen=True)
-class PortfolioMemberJob:
-    """One member placer's run inside a portfolio race.
-
-    Members are independent cached jobs: the token covers the topology,
-    the member name, and the full base config, so re-racing the same
-    portfolio replays every member from the cache and only the argmax
-    scoring repeats.
-
-    Attributes:
-        topology: Registered topology name.
-        member: Member placer name (a non-portfolio
-            :data:`~repro.core.config.PLACER_CHOICES` entry).
-        segment_size_mm: Resonator segment size ``lb``.
-        config: Base placer configuration (``None`` = defaults); the
-            worker replaces its ``placer`` field with ``member``.
-    """
-
-    topology: str
-    member: str
-    segment_size_mm: float = constants.DEFAULT_SEGMENT_SIZE_MM
-    config: Optional[PlacerConfig] = None
-
-
-def run_portfolio_member(job: PortfolioMemberJob):
-    """Worker: run one member placer of a portfolio race."""
-    from ..devices.netlist import build_netlist
-    from ..devices.topology import get_topology
-    from ..placers import make_placer
-
-    config = job.config if job.config is not None else PlacerConfig()
-    config = replace(config.with_segment_size(job.segment_size_mm),
-                     placer=job.member)
-    netlist = build_netlist(get_topology(job.topology))
-    return make_placer(config).place(netlist)
 
 
 @dataclass(frozen=True)

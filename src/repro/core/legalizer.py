@@ -274,7 +274,7 @@ class Legalizer:
         #: hash (superset queries — verdicts identical by construction);
         #: "scan" keeps the pre-hash full-array mask path for A/B runs.
         self._screening = self.config.legalizer_screening
-        self._txn: Optional[List[Tuple[int, Tuple[float, float]]]] = None
+        self._txn_open = False
         self._segs_by_res: Optional[Dict[int, List[int]]] = None
         self._qubit_pitch = self.config.qubit_site_pitch_mm(
             float(p.sizes[p.is_qubit][:, 0].max()) if p.is_qubit.any() else 0.4)
@@ -941,7 +941,7 @@ class Legalizer:
 
         The entry point for refinement stages: hand the legalizer a
         finished layout, then mutate it through :meth:`try_moves` /
-        :meth:`commit` / :meth:`rollback` without touching internals.
+        :meth:`commit` without touching internals.
         """
         if positions.shape != self.positions.shape:
             raise ValueError("position array shape mismatch")
@@ -965,14 +965,13 @@ class Legalizer:
         Every target site must satisfy the spacing rules (against the
         layout with all movers lifted) and every affected resonator must
         stay contiguous.  On success the movers sit at their new sites
-        and the transaction stays open until :meth:`commit` or
-        :meth:`rollback`; on failure the layout is untouched and False
-        is returned.
+        and the transaction stays open until :meth:`commit`; on failure
+        the layout is untouched and False is returned.
         """
-        if self._txn is not None:
+        if self._txn_open:
             raise RuntimeError(
                 "a batch-move transaction is already open; "
-                "commit() or rollback() it first")
+                "commit() it first")
         originals = [(int(i), (float(self.positions[i, 0]),
                                float(self.positions[i, 1])))
                      for i, _ in moves]
@@ -999,25 +998,14 @@ class Legalizer:
                     and len(self._clusters(by_res[r])) > 1:
                 restore()
                 return False
-        self._txn = originals
+        self._txn_open = True
         return True
 
     def commit(self) -> None:
         """Finalise the open batch-move transaction."""
-        if self._txn is None:
+        if not self._txn_open:
             raise RuntimeError("no open batch-move transaction")
-        self._txn = None
-
-    def rollback(self) -> None:
-        """Undo the open batch-move transaction, restoring old sites."""
-        if self._txn is None:
-            raise RuntimeError("no open batch-move transaction")
-        originals = self._txn
-        self._txn = None
-        for i, _ in originals:
-            self._unplace(i)
-        for i, (x, y) in originals:
-            self._place(i, x, y)
+        self._txn_open = False
 
     # -- entry point ---------------------------------------------------------------------
 

@@ -24,6 +24,7 @@ Normalisation happens in :func:`parse_request`, before digesting:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type, Union
 
@@ -154,31 +155,6 @@ class EvaluateRequest:
 
 
 @dataclass(frozen=True)
-class RefineRequest:
-    """Anytime SA refinement of a stored placement artifact.
-
-    Loads the layout under ``source_digest`` (a finished ``place``
-    artifact with layouts included), runs bounded simulated-annealing
-    refinement rounds over the transactional legalizer, and republishes
-    the best layout so far under *this* request's digest after every
-    round — ``GET /jobs/<id>`` therefore streams monotone improvement
-    until the deadline, when the run terminates cleanly.
-
-    The deadline is part of the digest on purpose: a 5-second refine
-    and a 60-second refine of the same source are different results.
-    """
-
-    kind: ClassVar[str] = "refine"
-
-    source_digest: str
-    strategy: str = "qplacer"
-    deadline_s: float = 30.0
-    rounds: int = 8
-    moves_per_round: int = 200
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class EnsembleRequest:
     """Monte-Carlo disorder ensemble against one frozen placement.
 
@@ -188,8 +164,8 @@ class EnsembleRequest:
     batch, and incrementally repairs up to ``repair_samples`` failing
     realisations.  The artifact is the yield/fidelity-vs-sigma curve
     with bootstrap intervals; progress streams one point per sigma via
-    ``GET /jobs/<id>`` like a refine.  Samples fan through the runner
-    as chunk jobs (``chunk_size`` execution option).
+    ``GET /jobs/<id>``.  Samples fan through the runner as chunk jobs
+    (``chunk_size`` execution option).
     """
 
     kind: ClassVar[str] = "ensemble"
@@ -210,13 +186,13 @@ class EnsembleRequest:
 
 
 Request = Union[PlaceRequest, FidelityRequest, MapRequest, EvaluateRequest,
-                RefineRequest, EnsembleRequest]
+                EnsembleRequest]
 
 #: Request kind -> dataclass, the POST /jobs dispatch table.
 REQUEST_TYPES: Dict[str, Type[Request]] = {
     cls.kind: cls
     for cls in (PlaceRequest, FidelityRequest, MapRequest, EvaluateRequest,
-                RefineRequest, EnsembleRequest)
+                EnsembleRequest)
 }
 
 #: Fields normalised from JSON lists to tuples.
@@ -346,6 +322,15 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
     except (TypeError, ValueError) as exc:
         raise RequestError(f"invalid {kind} request: {exc}") from None
 
+    # Seeds feed np.random.default_rng, which rejects negatives; the
+    # segment size divides resonator lengths.  Catch both here so they
+    # are a 400, not a queued job that fails.
+    for name in ("seed", "base_seed"):
+        if getattr(request, name, 0) < 0:
+            raise RequestError(f"{name} must be non-negative")
+    size = getattr(request, "segment_size_mm", 1.0)
+    if not (math.isfinite(size) and size > 0.0):
+        raise RequestError("segment_size_mm must be positive and finite")
     if hasattr(request, "topology"):
         _check_topology(request.topology)
     if hasattr(request, "strategies"):
@@ -380,23 +365,6 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
     if isinstance(request, (FidelityRequest, EvaluateRequest)):
         if request.num_mappings < 1:
             raise RequestError("num_mappings must be >= 1")
-    if isinstance(request, RefineRequest):
-        digest = request.source_digest
-        if (not isinstance(digest, str) or len(digest) != 64
-                or any(c not in "0123456789abcdef" for c in digest)):
-            raise RequestError(
-                "source_digest must be a 64-character lowercase hex "
-                "artifact digest")
-        if request.strategy not in _KNOWN_STRATEGIES:
-            raise RequestError(
-                f"strategy must be one of {sorted(_KNOWN_STRATEGIES)}, "
-                f"got {request.strategy!r}")
-        if not (0.0 < request.deadline_s <= 3600.0):
-            raise RequestError("deadline_s must be in (0, 3600]")
-        if request.rounds < 1 or request.rounds > 10_000:
-            raise RequestError("rounds must be in [1, 10000]")
-        if request.moves_per_round < 1 or request.moves_per_round > 100_000:
-            raise RequestError("moves_per_round must be in [1, 100000]")
     if isinstance(request, EnsembleRequest):
         from dataclasses import replace as _replace
 
@@ -407,7 +375,7 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
                                "(or a comma-separated string)") from None
         if not sigmas:
             raise RequestError("ensemble requests need at least one sigma")
-        if any(s < 0.0 or s > 1.0 for s in sigmas):
+        if not all(0.0 <= s <= 1.0 for s in sigmas):
             raise RequestError("each sigma must be in [0, 1] GHz")
         request = _replace(request, sigmas=sigmas)
         if request.strategy not in _KNOWN_STRATEGIES:
@@ -422,8 +390,10 @@ def parse_request(kind: str, payload: Mapping[str, Any]) -> Request:
             raise RequestError("repair_samples must be non-negative")
         if request.repair_samples > request.samples:
             raise RequestError("repair_samples cannot exceed samples")
-        if request.max_ph_percent < 0.0:
-            raise RequestError("max_ph_percent must be non-negative")
+        if not (math.isfinite(request.max_ph_percent)
+                and request.max_ph_percent >= 0.0):
+            raise RequestError("max_ph_percent must be non-negative and "
+                               "finite")
         if not 0 <= request.bootstrap <= 10_000:
             raise RequestError("bootstrap must be in [0, 10000]")
     return request
@@ -438,7 +408,6 @@ _KNOWN_OPTIONS: Dict[str, Tuple[str, ...]] = {
     "fidelity": ("shard_count",),
     "map": ("chunk_size",),
     "evaluate": (),
-    "refine": (),
     "ensemble": ("chunk_size",),
 }
 

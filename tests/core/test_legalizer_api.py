@@ -1,7 +1,7 @@
 """Tests for the legalizer's public refinement API and diagnostics.
 
 Covers the transactional batch-move surface (``load`` / ``neighbors`` /
-``try_moves`` / ``commit`` / ``rollback``) that the detailed placer
+``try_moves`` / ``commit``) that the detailed placer
 drives, and the enriched spiral-exhaustion error.
 """
 
@@ -70,13 +70,6 @@ class TestTryMoves:
                      if k not in (i, j)]
         assert np.array_equal(lg.positions[untouched], legal[untouched])
 
-    def test_rollback_restores_layout(self, loaded):
-        problem, lg, legal = loaded
-        i, j, pos_i, pos_j = _swap_pair(problem, lg)
-        assert lg.try_moves([(i, pos_j), (j, pos_i)])
-        lg.rollback()
-        assert np.array_equal(lg.positions, legal)
-
     def test_infeasible_move_restores_layout(self, loaded):
         problem, lg, legal = loaded
         qubits = np.flatnonzero(problem.is_qubit)
@@ -108,14 +101,12 @@ class TestTryMoves:
         assert lg.try_moves([(i, pos_j), (j, pos_i)])
         with pytest.raises(RuntimeError, match="already open"):
             lg.try_moves([(i, pos_i)])
-        lg.rollback()
+        lg.commit()
 
     def test_commit_without_transaction_raises(self, loaded):
         _, lg, _ = loaded
         with pytest.raises(RuntimeError):
             lg.commit()
-        with pytest.raises(RuntimeError):
-            lg.rollback()
 
 
 class TestSpiralExhaustion:

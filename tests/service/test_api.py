@@ -101,16 +101,31 @@ class TestRoutes:
             client.artifact("00" * 32)
         assert err.value.status == 404
 
-    def test_bad_request_rejected_with_400(self, client):
+    @pytest.mark.parametrize("kind,payload,fragment", [
+        ("place", {"topology": "not-a-chip"}, "unknown topology"),
+        ("place", {"topology": "grid-25", "seed": -1}, "seed"),
+        ("place", {"topology": "grid-25", "segment_size_mm": -1.0},
+         "segment_size_mm"),
+        ("map", {"benchmark": "bv-4", "topology": "grid-25",
+                 "base_seed": -3}, "base_seed"),
+        ("ensemble", {"topology": "grid-25", "base_seed": -1},
+         "base_seed"),
+        ("ensemble", {"topology": "grid-25", "sigmas": ["nan"]}, "sigma"),
+    ])
+    def test_bad_request_rejected_with_400(self, client, kind, payload,
+                                           fragment):
         with pytest.raises(ServiceError) as err:
-            client.submit("place", {"topology": "not-a-chip"})
+            client.submit(kind, payload)
         assert err.value.status == 400
-        assert "unknown topology" in str(err.value)
+        assert fragment in str(err.value)
+        assert client.jobs()["jobs"] == []
 
     def test_unknown_kind_rejected_with_400(self, client):
-        with pytest.raises(ServiceError) as err:
-            client.submit("teleport", {"topology": "grid-25"})
-        assert err.value.status == 400
+        for kind in ("teleport", "refine"):
+            with pytest.raises(ServiceError) as err:
+                client.submit(kind, {"topology": "grid-25"})
+            assert err.value.status == 400
+            assert "known: ['ensemble', 'evaluate'" in str(err.value)
 
     def test_unknown_field_rejected_with_400(self, client):
         with pytest.raises(ServiceError) as err:
@@ -229,3 +244,30 @@ class TestShutdown:
         assert svc._stop_done.is_set()
         with pytest.raises(ServiceError):
             ServiceClient(svc.base_url, timeout=1.0).healthz()
+
+
+class TestShutdownAuth:
+    def test_shutdown_requires_token(self, tmp_path):
+        svc = PlacementService(store_dir=tmp_path / "s", port=0,
+                               workers=1, shutdown_token="hunter2")
+        with svc:
+            anonymous = ServiceClient(svc.base_url, timeout=10.0)
+            with pytest.raises(ServiceError) as err:
+                anonymous.shutdown()
+            assert err.value.status == 403
+            wrong = ServiceClient(svc.base_url, timeout=10.0,
+                                  token="wrong")
+            with pytest.raises(ServiceError) as err:
+                wrong.shutdown()
+            assert err.value.status == 403
+            # Still alive after both rejections.
+            assert anonymous.healthz()["status"] == "ok"
+            authed = ServiceClient(svc.base_url, timeout=10.0,
+                                   token="hunter2")
+            assert authed.shutdown()["status"] == "stopping"
+
+    def test_shutdown_open_when_no_token(self, tmp_path):
+        svc = PlacementService(store_dir=tmp_path / "s", port=0, workers=1)
+        with svc:
+            client = ServiceClient(svc.base_url, timeout=10.0)
+            assert client.shutdown()["status"] == "stopping"

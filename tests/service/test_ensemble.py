@@ -54,6 +54,17 @@ class TestParseEnsemble:
         ({"topology": "grid-25", "max_ph_percent": -0.1},
          "max_ph_percent"),
         ({"topology": "grid-25", "bootstrap": -1}, "bootstrap"),
+        # NaN compares False against every bound, so each float field
+        # needs an explicit finiteness check.
+        ({"topology": "grid-25", "sigmas": ["nan"]}, "in [0, 1]"),
+        ({"topology": "grid-25", "sigmas": [0.01, float("inf")]},
+         "in [0, 1]"),
+        ({"topology": "grid-25", "resonator_sigma_scale": float("nan")},
+         "resonator_sigma_scale"),
+        ({"topology": "grid-25", "max_ph_percent": float("nan")},
+         "max_ph_percent"),
+        ({"topology": "grid-25", "max_ph_percent": float("inf")},
+         "max_ph_percent"),
     ])
     def test_rejections(self, payload, fragment):
         with pytest.raises(RequestError) as err:

@@ -49,6 +49,15 @@ class TestParsePlace:
         ({"topology": "grid-25", "bogus_field": 1}, "bogus_field"),
         ({"topology": "grid-25", "config": {"bogus": 1}}, "config"),
         ({"topology": "grid-25", "config": {"num_bins": 2}}, "config"),
+        ({"topology": "grid-25", "seed": -1}, "seed"),
+        ({"topology": "grid-25", "segment_size_mm": -1.0},
+         "segment_size_mm"),
+        ({"topology": "grid-25", "segment_size_mm": 0.0},
+         "segment_size_mm"),
+        ({"topology": "grid-25", "segment_size_mm": float("nan")},
+         "segment_size_mm"),
+        ({"topology": "grid-25", "segment_size_mm": float("inf")},
+         "segment_size_mm"),
     ])
     def test_rejections(self, payload, fragment):
         with pytest.raises(RequestError) as err:
@@ -56,8 +65,10 @@ class TestParsePlace:
         assert fragment in str(err.value)
 
     def test_unknown_kind(self):
-        with pytest.raises(RequestError):
-            parse_request("divine", {"topology": "grid-25"})
+        for kind in ("divine", "refine"):
+            with pytest.raises(RequestError) as err:
+                parse_request(kind, {"topology": "grid-25"})
+            assert "known: ['ensemble', 'evaluate'" in str(err.value)
 
     def test_non_string_kind(self):
         with pytest.raises(RequestError):
@@ -77,6 +88,27 @@ class TestParsePlace:
         """Type confusion must be a 400, never an escaping TypeError."""
         with pytest.raises(RequestError):
             parse_request("place", {"topology": "grid-25", field: value})
+
+
+class TestSeedAndSizeBounds:
+    @pytest.mark.parametrize("kind,payload,fragment", [
+        ("fidelity", {"topology": "grid-25", "workloads": "paper-8",
+                      "base_seed": -2}, "base_seed"),
+        ("map", {"benchmark": "bv-4", "topology": "grid-25",
+                 "base_seed": -3}, "base_seed"),
+        ("evaluate", {"topologies": ["grid-25"], "seed": -1}, "seed"),
+        ("evaluate", {"topologies": ["grid-25"],
+                      "segment_size_mm": -0.3}, "segment_size_mm"),
+        ("ensemble", {"topology": "grid-25", "base_seed": -1},
+         "base_seed"),
+        ("ensemble", {"topology": "grid-25", "seed": -1}, "seed"),
+    ])
+    def test_rejections(self, kind, payload, fragment):
+        """np.random.default_rng raises on a negative seed, so these
+        must be a 400 rather than a queued job that fails."""
+        with pytest.raises(RequestError) as err:
+            parse_request(kind, payload)
+        assert fragment in str(err.value)
 
 
 class TestParseFidelity:
@@ -183,43 +215,3 @@ class TestParseEvaluate:
         with pytest.raises(RequestError):
             parse_request("evaluate", {"topologies": ["grid-25"],
                                        "benchmarks": ["bv-4", "vibes-3"]})
-
-
-class TestRefineRequest:
-    def test_parses_with_defaults(self):
-        request = parse_request("refine", {"source_digest": "ab" * 32})
-        assert request.kind == "refine"
-        assert request.strategy == "qplacer"
-        assert request.deadline_s == 30.0
-
-    def test_digest_must_be_64_hex(self):
-        for bad in ("", "xyz", "AB" * 32, "ab" * 31):
-            with pytest.raises(RequestError):
-                parse_request("refine", {"source_digest": bad})
-
-    def test_strategy_validated(self):
-        with pytest.raises(RequestError) as err:
-            parse_request("refine", {"source_digest": "ab" * 32,
-                                     "strategy": "genetic"})
-        assert "qplacer" in str(err.value)
-
-    def test_bounds_validated(self):
-        base = {"source_digest": "ab" * 32}
-        for overrides in ({"deadline_s": 0.0}, {"deadline_s": 4000.0},
-                          {"rounds": 0}, {"moves_per_round": 0},
-                          {"rounds": 20_000}):
-            with pytest.raises(RequestError):
-                parse_request("refine", {**base, **overrides})
-
-    def test_deadline_in_digest(self):
-        from repro.service.store import request_digest
-        a = parse_request("refine", {"source_digest": "ab" * 32,
-                                     "deadline_s": 5.0})
-        b = parse_request("refine", {"source_digest": "ab" * 32,
-                                     "deadline_s": 10.0})
-        assert request_digest("refine", a) != request_digest("refine", b)
-
-    def test_refine_accepts_no_options(self):
-        from repro.service.requests import check_options
-        with pytest.raises(RequestError):
-            check_options("refine", {"shard_count": 2})
