@@ -30,6 +30,15 @@ class TestBuildSuite:
         assert suite.results["human"] is None
 
 
+    def test_qplacer_layout_is_the_direct_placer_layout(self, suite):
+        from repro.core import QPlacer
+        cfg = PlacerConfig(max_iterations=120, min_iterations=20,
+                           num_bins=32)
+        direct = QPlacer(cfg).place(suite.netlist)
+        assert np.array_equal(suite.layouts["qplacer"].positions,
+                              direct.layout.positions)
+
+
 class TestPlacementPayloadTelemetry:
     def test_strategy_entries_carry_stats_and_phases(self, suite):
         from repro.analysis.experiments import placement_payload

@@ -1,5 +1,7 @@
 """Unit tests for the placer configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import PlacerConfig
@@ -59,6 +61,19 @@ class TestValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PlacerConfig(**kwargs)
+
+    def test_retired_placer_knobs_rejected(self):
+        retired = ("placer", "sa_seed_placer", "sa_rounds",
+                   "sa_moves_per_round", "sa_probe_moves",
+                   "sa_uphill_probability", "sa_cooling",
+                   "sa_reheat_threshold", "sa_reheat_factor",
+                   "sa_move_radius_sites", "sa_swap_probability",
+                   "portfolio_members")
+        names = {f.name for f in dataclasses.fields(PlacerConfig)}
+        assert names.isdisjoint(retired)
+        for name in retired:
+            with pytest.raises(TypeError):
+                PlacerConfig(**{name: None})
 
     def test_screening_error_lists_choices(self):
         with pytest.raises(ValueError, match="hash.*scan"):

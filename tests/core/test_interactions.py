@@ -300,15 +300,18 @@ class TestFrequencyBanding:
             assert np.array_equal(index_b, index_p)
             assert banded.peak_candidates <= plain.peak_candidates
 
-    @pytest.mark.parametrize("source", ["synthetic", "grid-9", "eagle-127"])
-    def test_labels_non_decreasing_in_frequency(self, source):
-        if source == "synthetic":
-            rng = np.random.default_rng(5)
-            freqs = np.concatenate([rng.uniform(4.8, 9.6, size=200),
-                                    np.repeat([6.0, 6.111, 6.5, 7.3], 10)])
-        else:
-            freqs = build_problem(build_netlist(get_topology(source)),
-                                  PlacerConfig()).frequencies
+    def test_labels_non_decreasing_in_frequency(self):
+        rng = np.random.default_rng(5)
+        freqs = np.concatenate([rng.uniform(4.8, 9.6, size=200),
+                                np.repeat([6.0, 6.111, 6.5, 7.3], 10)])
+        bands = frequency_bands(freqs, 0.1)
+        order = np.argsort(freqs, kind="stable")
+        assert (np.diff(bands[order]) >= 0).all()
+
+    @pytest.mark.parametrize("topology", ["grid-9", "eagle-127"])
+    def test_labels_non_decreasing_on_frequency_plans(self, topology):
+        freqs = build_problem(build_netlist(get_topology(topology)),
+                              PlacerConfig()).frequencies
         bands = frequency_bands(freqs, 0.1)
         order = np.argsort(freqs, kind="stable")
         assert (np.diff(bands[order]) >= 0).all()

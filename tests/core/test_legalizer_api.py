@@ -70,6 +70,17 @@ class TestTryMoves:
                      if k not in (i, j)]
         assert np.array_equal(lg.positions[untouched], legal[untouched])
 
+    def test_commit_closes_transaction(self, loaded):
+        problem, lg, legal = loaded
+        i, j, pos_i, pos_j = _swap_pair(problem, lg)
+        assert lg.try_moves([(i, pos_j), (j, pos_i)])
+        lg.commit()
+        # A committed transaction frees the legalizer for the next one;
+        # swapping back restores the loaded layout exactly.
+        assert lg.try_moves([(i, pos_i), (j, pos_j)])
+        lg.commit()
+        assert np.array_equal(lg.positions, legal)
+
     def test_infeasible_move_restores_layout(self, loaded):
         problem, lg, legal = loaded
         qubits = np.flatnonzero(problem.is_qubit)

@@ -10,6 +10,7 @@ from repro.devices import netlist_with_frequencies
 from repro.ensembles import (
     DisorderSpec,
     check_layout_legal,
+    place_from_scratch,
     problem_with_frequencies,
     repair_sample,
     sample_batch,
@@ -90,3 +91,14 @@ class TestRepairSample:
         b = repair_sample(design, noisy_netlist,
                           grid9_placed.layout.positions, fast_config)
         assert np.array_equal(a.positions, b.positions)
+
+
+class TestPlaceFromScratch:
+    def test_scratch_is_the_direct_placer_layout(self, noisy_netlist,
+                                                 fast_config):
+        from repro.core import QPlacer
+        layout = place_from_scratch(noisy_netlist, fast_config)
+        direct = QPlacer(fast_config).place(noisy_netlist).layout
+        assert np.array_equal(layout.positions, direct.positions)
+        assert layout.strategy == "qplacer+disorder+scratch"
+        assert layout.netlist is noisy_netlist

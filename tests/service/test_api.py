@@ -101,8 +101,13 @@ class TestRoutes:
             client.artifact("00" * 32)
         assert err.value.status == 404
 
+    def test_bad_request_rejected_with_400(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit("place", {"topology": "not-a-chip"})
+        assert err.value.status == 400
+        assert "unknown topology" in str(err.value)
+
     @pytest.mark.parametrize("kind,payload,fragment", [
-        ("place", {"topology": "not-a-chip"}, "unknown topology"),
         ("place", {"topology": "grid-25", "seed": -1}, "seed"),
         ("place", {"topology": "grid-25", "segment_size_mm": -1.0},
          "segment_size_mm"),
@@ -112,8 +117,8 @@ class TestRoutes:
          "base_seed"),
         ("ensemble", {"topology": "grid-25", "sigmas": ["nan"]}, "sigma"),
     ])
-    def test_bad_request_rejected_with_400(self, client, kind, payload,
-                                           fragment):
+    def test_bad_input_rejected_before_queueing(self, client, kind,
+                                                payload, fragment):
         with pytest.raises(ServiceError) as err:
             client.submit(kind, payload)
         assert err.value.status == 400

@@ -58,6 +58,12 @@ class TestParsePlace:
          "segment_size_mm"),
         ({"topology": "grid-25", "segment_size_mm": float("inf")},
          "segment_size_mm"),
+        # The retired placer switch and its annealing / racing knobs
+        # are no longer config fields.
+        ({"topology": "grid-25", "config": {"placer": "sa"}}, "config"),
+        ({"topology": "grid-25", "config": {"sa_rounds": 4}}, "config"),
+        ({"topology": "grid-25",
+          "config": {"portfolio_members": ["force"]}}, "config"),
     ])
     def test_rejections(self, payload, fragment):
         with pytest.raises(RequestError) as err:
@@ -69,6 +75,11 @@ class TestParsePlace:
             with pytest.raises(RequestError) as err:
                 parse_request(kind, {"topology": "grid-25"})
             assert "known: ['ensemble', 'evaluate'" in str(err.value)
+
+    def test_every_kind_has_an_executor(self):
+        from repro.service.requests import REQUEST_TYPES
+        from repro.service.scheduler import EXECUTORS
+        assert set(EXECUTORS) == set(REQUEST_TYPES)
 
     def test_non_string_kind(self):
         with pytest.raises(RequestError):

@@ -21,6 +21,18 @@ class TestParser:
         assert args.segment_size == 0.3
         assert not args.classic
 
+    def test_refine_command_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["refine", "ab" * 32])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["place", "profile"])
+    def test_placer_option_removed(self, command):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "grid-25",
+                                       "--placer", "sa"])
+        assert exc.value.code == 2
+
     def test_evaluate_options(self):
         args = build_parser().parse_args(
             ["evaluate", "falcon-27", "--mappings", "7",
