@@ -653,25 +653,6 @@ def run_place_request(topology: str, segment_size_mm: float,
     return payload
 
 
-def run_fidelity_request(topology: str, workloads: Sequence[str],
-                         num_mappings: int, base_seed: int,
-                         strategies: Sequence[str], segment_size_mm: float,
-                         seed: int, config: Optional[PlacerConfig],
-                         runner: "ParallelRunner",
-                         shard_count: Optional[int] = None
-                         ) -> Dict[str, object]:
-    """Execute one service fidelity request (sharded over the runner)."""
-    fidelity = sharded_fidelity_experiment(
-        topology, workloads=tuple(workloads), shard_count=shard_count,
-        num_mappings=num_mappings, base_seed=base_seed,
-        segment_size_mm=segment_size_mm, strategies=tuple(strategies),
-        config=_effective_config(config, seed, segment_size_mm),
-        runner=runner)
-    return {"topology": topology, "workloads": list(workloads),
-            "num_mappings": num_mappings, "base_seed": base_seed,
-            "fidelity": fidelity}
-
-
 def run_map_request(benchmark: str, topology: str, num_mappings: int,
                     base_seed: int, router: str, optimization_level: int,
                     runner: "ParallelRunner",
@@ -716,16 +697,3 @@ def run_map_request(benchmark: str, topology: str, num_mappings: int,
             "total_swaps": sum(r["swap_count"] for r in rows),
             "mappings": rows}
 
-
-def run_evaluate_request(topologies: Sequence[str],
-                         benchmarks: Sequence[str], num_mappings: int,
-                         segment_size_mm: float, seed: int,
-                         config: Optional[PlacerConfig],
-                         runner: "ParallelRunner") -> Dict[str, object]:
-    """Execute one service evaluate request (the whole-paper pipeline)."""
-    results = run_full_evaluation(
-        topology_names=tuple(topologies), benchmarks=tuple(benchmarks),
-        num_mappings=num_mappings, segment_size_mm=segment_size_mm,
-        config=_effective_config(config, seed, segment_size_mm),
-        runner=runner)
-    return evaluation_payload(results)

@@ -205,15 +205,7 @@ def cmd_topologies(_args: argparse.Namespace) -> int:
 def cmd_place(args: argparse.Namespace) -> int:
     config = _config_from(args)
     if args.classic:
-        config = PlacerConfig.classic(
-            segment_size_mm=args.segment_size, seed=args.seed,
-            interaction_backend=args.interaction_backend,
-            incremental_density=config.incremental_density,
-            density_flush_interval=config.density_flush_interval,
-            density_move_threshold_mm=config.density_move_threshold_mm,
-            freq_pair_banding=config.freq_pair_banding,
-            detailed_passes=config.detailed_passes,
-            legalizer_screening=config.legalizer_screening)
+        config = config.as_classic()
     netlist = build_netlist(get_topology(args.topology))
     result = QPlacer(config).place(netlist)
     metrics = compute_layout_metrics(result.layout)
@@ -249,10 +241,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     config = _config_from(args)
     if args.classic:
-        from dataclasses import replace
-        config = replace(config, frequency_aware=False,
-                         legalize_integration=False,
-                         chain_aware_tetris=False)
+        config = config.as_classic()
     netlist = build_netlist(get_topology(args.topology))
     result = QPlacer(config).place(netlist)
     phases = result.phase_profile
@@ -428,19 +417,19 @@ def cmd_workloads_build(args: argparse.Namespace) -> int:
 
 
 #: Shard-payload keys that must agree across every shard of a merge —
-#: the full placement + protocol context, so shards produced with
-#: different settings cannot silently combine into a table that matches
-#: no single-process run.
+#: the protocol context plus the canonicalised resolved placer config,
+#: so shards produced with different settings cannot silently combine
+#: into a table that matches no single-process run.
 SHARD_CONTEXT_KEYS = (
     "topology", "workloads", "shard_count", "num_mappings", "base_seed",
-    "strategies", "placement_seed", "segment_size_mm",
-    "interaction_backend", "incremental_density",
-    "detailed_passes", "legalizer_screening",
+    "strategies", "placement_seed", "segment_size_mm", "config",
 )
 
 
 def _shard_payload(args: argparse.Namespace, names: tuple,
-                   fidelity: dict) -> dict:
+                   config: PlacerConfig, fidelity: dict) -> dict:
+    from .io.serialization import canonicalize
+
     return {
         "kind": "workload-shard",
         "topology": args.topology,
@@ -452,10 +441,7 @@ def _shard_payload(args: argparse.Namespace, names: tuple,
         "strategies": args.strategies.split(","),
         "placement_seed": args.seed,
         "segment_size_mm": args.segment_size,
-        "interaction_backend": args.interaction_backend,
-        "incremental_density": args.incremental_density,
-        "detailed_passes": args.detailed_passes,
-        "legalizer_screening": args.legalizer_screening,
+        "config": canonicalize(config),
         "fidelity": fidelity,
     }
 
@@ -486,7 +472,7 @@ def cmd_workloads_evaluate(args: argparse.Namespace) -> int:
             suite, benchmarks=names, num_mappings=args.mappings,
             base_seed=args.base_seed, runner=runner,
             shard_index=args.shard_index, shard_count=args.shard_count)
-        payload = _shard_payload(args, names, fidelity)
+        payload = _shard_payload(args, names, config, fidelity)
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(payload, fh, indent=2)
@@ -524,10 +510,17 @@ def cmd_workloads_merge(args: argparse.Namespace) -> int:
     first = shards[0]
     for shard in shards[1:]:
         for key in SHARD_CONTEXT_KEYS:
-            if shard.get(key) != first.get(key):
-                raise SystemExit(
-                    f"shard files disagree on {key!r}: "
-                    f"{shard.get(key)!r} vs {first.get(key)!r}")
+            mine, theirs = shard.get(key), first.get(key)
+            if mine != theirs:
+                if key == "config" and mine and theirs:
+                    # Name only the placer settings that differ.
+                    mine, theirs = mine["__config__"], theirs["__config__"]
+                    names = sorted(n for n in set(mine) | set(theirs)
+                                   if mine.get(n) != theirs.get(n))
+                    mine = {n: mine.get(n) for n in names}
+                    theirs = {n: theirs.get(n) for n in names}
+                raise SystemExit(f"shard files disagree on {key!r}: "
+                                 f"{mine!r} vs {theirs!r}")
     indices = [shard.get("shard_index") for shard in shards]
     if len(set(indices)) != len(indices):
         raise SystemExit(f"duplicate shard indices: {sorted(indices)}")

@@ -202,9 +202,17 @@ class PlacerConfig:
         during legalization, no chain-aware Tetris ordering, and no
         integration-aware repair.
         """
-        base = PlacerConfig(frequency_aware=False, legalize_integration=False,
-                            chain_aware_tetris=False)
-        return replace(base, **overrides) if overrides else base
+        return replace(PlacerConfig().as_classic(), **overrides)
+
+    def as_classic(self) -> "PlacerConfig":
+        """This config with the frequency machinery switched off.
+
+        The one rule behind :meth:`classic` and the CLI's ``--classic``
+        flag: every other setting (backend, density, detailed pass,
+        ...) carries over unchanged.
+        """
+        return replace(self, frequency_aware=False,
+                       legalize_integration=False, chain_aware_tetris=False)
 
     def with_segment_size(self, lb_mm: float) -> "PlacerConfig":
         """Copy with a different resonator segment size (Fig. 15 sweep)."""

@@ -45,7 +45,7 @@ from .requests import (
     check_options,
     parse_request,
 )
-from .scheduler import EXECUTORS, ExecutionContext, Scheduler
+from .scheduler import ExecutionContext, Scheduler
 from .store import ArtifactRecord, ArtifactStore, request_digest
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "ArtifactStore",
     "CANCELLED",
     "DONE",
-    "EXECUTORS",
     "EvaluateRequest",
     "ExecutionContext",
     "FAILED",

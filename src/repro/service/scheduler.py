@@ -1,17 +1,17 @@
 """Bounded worker pool executing queued service jobs.
 
 The scheduler runs N daemon threads that claim jobs from the
-:class:`~repro.service.queue.JobQueue`, dispatch them through the
-executor registry, persist the payload in the
+:class:`~repro.service.queue.JobQueue`, run each through its request
+class's ``execute`` method, persist the payload in the
 :class:`~repro.service.store.ArtifactStore`, and mark the job done (or
-failed, with the traceback served to clients).  Each executor is a thin
-adapter from a request dataclass onto the existing experiment
-pipelines (:mod:`repro.analysis.experiments`), which in turn fan work
-over the shared :class:`~repro.analysis.runner.ParallelRunner` — so
-one service process composes three levels of concurrency: API threads,
-scheduler workers, and the runner's process pool, with the runner's
-on-disk cache deduplicating *sub*-units (placements, mapping chunks,
-workload shards) across distinct requests.
+failed, with the traceback served to clients).  ``execute`` calls the
+existing experiment pipelines (:mod:`repro.analysis.experiments`,
+:mod:`repro.ensembles`), which in turn fan work over the shared
+:class:`~repro.analysis.runner.ParallelRunner` — so one service process
+composes three levels of concurrency: API threads, scheduler workers,
+and the runner's process pool, with the runner's on-disk cache
+deduplicating *sub*-units (placements, mapping chunks, workload
+shards) across distinct requests.
 
 Worker threads are deliberately few (default 2): jobs are heavyweight
 and the real parallelism lives in the runner's process pool; the
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.runner import ParallelRunner
+from ..io.serialization import canonicalize
 from .queue import JobCancelled, JobQueue, JobRecord
-from .requests import (EnsembleRequest, EvaluateRequest, FidelityRequest,
-                       MapRequest, PlaceRequest, Request)
+from .requests import REQUEST_TYPES
 from .store import ArtifactStore
 
 
@@ -44,119 +44,6 @@ class ExecutionContext:
     queue: Optional[JobQueue] = None
 
 
-def execute_place(request: PlaceRequest, ctx: ExecutionContext,
-                  job: JobRecord) -> Dict[str, Any]:
-    from ..analysis.experiments import run_place_request
-
-    return run_place_request(
-        topology=request.topology,
-        segment_size_mm=request.segment_size_mm,
-        strategies=request.strategies, seed=request.seed,
-        config=request.config, include_layouts=request.include_layouts,
-        runner=ctx.runner, warm_start=request.warm_start,
-        store=ctx.store)
-
-
-def execute_fidelity(request: FidelityRequest, ctx: ExecutionContext,
-                     job: JobRecord) -> Dict[str, Any]:
-    from ..analysis.experiments import run_fidelity_request
-
-    return run_fidelity_request(
-        topology=request.topology, workloads=request.workloads,
-        num_mappings=request.num_mappings, base_seed=request.base_seed,
-        strategies=request.strategies,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, runner=ctx.runner,
-        shard_count=job.options.get("shard_count"))
-
-
-def execute_map(request: MapRequest, ctx: ExecutionContext,
-                job: JobRecord) -> Dict[str, Any]:
-    from ..analysis.experiments import run_map_request
-
-    return run_map_request(
-        benchmark=request.benchmark, topology=request.topology,
-        num_mappings=request.num_mappings, base_seed=request.base_seed,
-        router=request.router,
-        optimization_level=request.optimization_level,
-        runner=ctx.runner, chunk_size=job.options.get("chunk_size"))
-
-
-def execute_evaluate(request: EvaluateRequest, ctx: ExecutionContext,
-                     job: JobRecord) -> Dict[str, Any]:
-    from ..analysis.experiments import run_evaluate_request
-
-    return run_evaluate_request(
-        topologies=request.topologies, benchmarks=request.benchmarks,
-        num_mappings=request.num_mappings,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, runner=ctx.runner)
-
-
-def execute_ensemble(request: EnsembleRequest, ctx: ExecutionContext,
-                     job: JobRecord) -> Dict[str, Any]:
-    """Monte-Carlo disorder ensemble with streamed per-sigma progress.
-
-    After each completed sigma point the partial curve is published
-    under the job's digest and ``JobRecord.progress`` advances, so
-    clients polling ``GET /jobs/<id>`` watch the yield curve grow point
-    by point.  Cancellation is honoured at point boundaries.
-    """
-    from ..ensembles import run_ensemble_request
-
-    started = time.perf_counter()
-    state: Dict[str, Any] = {
-        "kind": "ensemble",
-        "topology": request.topology,
-        "strategy": request.strategy,
-        "samples": request.samples,
-        "points": [],
-    }
-
-    def on_point(index: int, point: Dict[str, Any]) -> None:
-        if job.cancel_requested:
-            raise JobCancelled(job.job_id)
-        state["points"] = list(state["points"]) + [point]
-        ctx.store.put(job.digest, dict(state), metadata={
-            "kind": job.kind,
-            "request": _canonical_request(request),
-            "compute_s": time.perf_counter() - started,
-        })
-        if ctx.queue is not None:
-            ctx.queue.update_progress(job.job_id, {
-                "published": index + 1,
-                "total": len(request.sigmas),
-                "sigma_qubit_ghz": point["sigma_qubit_ghz"],
-                "yield": point["yield"],
-                "yield_after_repair": point["yield_after_repair"],
-            })
-
-    payload = run_ensemble_request(
-        topology=request.topology, sigmas=request.sigmas,
-        samples=request.samples,
-        resonator_sigma_scale=request.resonator_sigma_scale,
-        base_seed=request.base_seed, strategy=request.strategy,
-        segment_size_mm=request.segment_size_mm, seed=request.seed,
-        config=request.config, repair_samples=request.repair_samples,
-        max_ph_percent=request.max_ph_percent,
-        warm_start=request.warm_start, bootstrap=request.bootstrap,
-        runner=ctx.runner, chunk_size=job.options.get("chunk_size"),
-        store=ctx.store, on_point=on_point)
-    return payload
-
-
-#: Request kind -> executor.  Execution hints (chunk/shard sizes) come
-#: from the job envelope, never the digest-bearing request.
-EXECUTORS: Dict[str, Callable[[Request, ExecutionContext, JobRecord],
-                              Dict[str, Any]]] = {
-    "place": execute_place,
-    "fidelity": execute_fidelity,
-    "map": execute_map,
-    "evaluate": execute_evaluate,
-    "ensemble": execute_ensemble,
-}
-
-
 class Scheduler:
     """Worker threads draining the job queue onto the runner.
 
@@ -166,7 +53,9 @@ class Scheduler:
         workers: Worker-thread count (concurrent distinct requests).
         runner: Shared job runner; a default-constructed
             :class:`ParallelRunner` when omitted.
-        executors: Kind -> executor override (tests inject stubs).
+        executors: Kind -> executor override (tests inject stubs);
+            by default each kind's ``execute`` method from
+            :data:`~repro.service.requests.REQUEST_TYPES`.
     """
 
     def __init__(self, queue: JobQueue, store: ArtifactStore,
@@ -179,7 +68,10 @@ class Scheduler:
         self.store = store
         self.workers = workers
         self.runner = runner if runner is not None else ParallelRunner()
-        self.executors = dict(EXECUTORS if executors is None else executors)
+        if executors is None:
+            executors = {kind: cls.execute
+                         for kind, cls in REQUEST_TYPES.items()}
+        self.executors = dict(executors)
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._lock = threading.Lock()
@@ -251,7 +143,7 @@ class Scheduler:
             elapsed = time.perf_counter() - started
             metadata = {
                 "kind": job.kind,
-                "request": _canonical_request(job.request),
+                "request": canonicalize(job.request),
                 "compute_s": elapsed,
             }
             # Content-addressed artifacts (map results carry the circuit
@@ -299,8 +191,3 @@ class Scheduler:
             "compute_seconds": compute_seconds,
         }
 
-
-def _canonical_request(request: Request) -> Any:
-    from ..io.serialization import canonicalize
-
-    return canonicalize(request)

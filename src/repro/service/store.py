@@ -262,14 +262,14 @@ class ArtifactStore:
             if not isinstance(metadata, dict) \
                     or metadata.get("kind") != "place":
                 continue
-            request = metadata.get("request")
-            if isinstance(request, dict) and "__dataclass__" in request:
-                request = request.get("fields")  # canonicalize() wrapper
-            if not isinstance(request, dict) \
-                    or request.get("topology") != topology:
+            stored = metadata.get("request")
+            if isinstance(stored, dict) and "__dataclass__" in stored:
+                stored = stored.get("fields")  # canonicalize() wrapper
+            if not isinstance(stored, dict) \
+                    or stored.get("topology") != topology:
                 continue
             if segment_size_mm is not None and \
-                    request.get("segment_size_mm") != segment_size_mm:
+                    stored.get("segment_size_mm") != segment_size_mm:
                 continue
             result = document.get("result")
             if not isinstance(result, dict) \

@@ -16,6 +16,16 @@ import pytest
 from repro.analysis.runner import ParallelRunner
 from repro.service import PlacementService, ServiceClient, ServiceError
 from repro.service.client import JobFailed
+from repro.service.requests import REQUEST_TYPES, RequestError, check_options
+
+#: A minimal valid payload per request kind.
+MINIMAL_PAYLOADS = {
+    "place": {"topology": "grid-25"},
+    "fidelity": {"topology": "grid-25", "workloads": ["bv-4"]},
+    "map": {"benchmark": "bv-4", "topology": "grid-25"},
+    "evaluate": {"topologies": ["grid-25"]},
+    "ensemble": {"topology": "grid-25"},
+}
 
 
 @pytest.fixture
@@ -124,6 +134,22 @@ class TestRoutes:
         assert err.value.status == 400
         assert fragment in str(err.value)
         assert client.jobs()["jobs"] == []
+
+    @pytest.mark.parametrize("kind", sorted(REQUEST_TYPES))
+    def test_declared_options_only(self, client, kind):
+        """A kind accepts exactly the options its class declares."""
+        payload = MINIMAL_PAYLOADS[kind]
+        with pytest.raises(RequestError):
+            check_options(kind, {"undeclared": 2})
+        with pytest.raises(ServiceError) as err:
+            client.submit(kind, payload, options={"undeclared": 2})
+        assert err.value.status == 400
+        assert "undeclared" in str(err.value)
+        assert client.jobs()["jobs"] == []
+        declared = {name: 2 for name in REQUEST_TYPES[kind].options}
+        assert check_options(kind, declared) == declared
+        job = client.submit(kind, payload, options=declared)
+        assert job["disposition"] == "queued"
 
     def test_unknown_kind_rejected_with_400(self, client):
         for kind in ("teleport", "refine"):

@@ -171,8 +171,9 @@ class TestEnsemblePipeline:
         assert again["digest"] == first["digest"]
 
     def test_ensemble_client_convenience(self, client):
-        result = client.ensemble("grid-25", [0.05], samples=4,
-                                 repair_samples=2, config=FAST,
-                                 bootstrap=20,
-                                 options={"chunk_size": 2}, timeout=300)
+        result = client.run("ensemble",
+                            {"topology": "grid-25", "sigmas": [0.05],
+                             "samples": 4, "repair_samples": 2,
+                             "config": FAST, "bootstrap": 20},
+                            options={"chunk_size": 2}, timeout=300)
         assert result["kind"] == "ensemble"

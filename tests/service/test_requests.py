@@ -4,10 +4,48 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.runner import CACHE_SCHEMA_VERSION
 from repro.core import PlacerConfig
-from repro.service.requests import (EvaluateRequest, FidelityRequest,
-                                    MapRequest, PlaceRequest, RequestError,
+from repro.service.requests import (REQUEST_TYPES, EvaluateRequest,
+                                    FidelityRequest, MapRequest,
+                                    PlaceRequest, RequestError,
                                     check_options, parse_request)
+from repro.service.store import request_digest
+
+#: One payload per kind and its request digest under cache schema 10.
+#: Every stored artifact is addressed by these digests, so a refactor
+#: of the request classes (names, fields, normalisation) must leave
+#: them byte-identical; only a deliberate schema bump may move them.
+GOLDEN_DIGESTS = {
+    "place": ({"topology": "grid-25", "strategies": ["qplacer", "classic"],
+               "seed": 3, "config": {"num_bins": 32, "max_iterations": 60},
+               "warm_start": True},
+              "8cee07ea6e4e0368fb9d0fc1b554686897168ea37756ae6702c2b819e46e45de"),
+    "fidelity": ({"topology": "grid-25", "workloads": ["bv-4", "ghz-5"],
+                  "num_mappings": 3, "base_seed": 2,
+                  "strategies": "qplacer"},
+                 "66915f36a9fe3c2b2fa8b054295f8318ea8e8a8528045d73920eea2fea3193a2"),
+    "map": ({"benchmark": "bv-4", "topology": "grid-25", "num_mappings": 5,
+             "base_seed": 1, "router": "basic", "optimization_level": 2},
+            "bbc78cd8c7d4d230df30d7c274c610515d3995d64c9dd8a1d28351c85424dc5d"),
+    "evaluate": ({"num_mappings": 2, "seed": 1},
+                 "66a00c10c5243eebadf93f8c73e7dec3ca98104238aa98efa23ed211a599a8a2"),
+    "ensemble": ({"topology": "grid-25", "sigmas": "0.01,0.05",
+                  "samples": 16, "repair_samples": 4,
+                  "max_ph_percent": 1.5, "bootstrap": 50},
+                 "0e7d5b81f4b2903a4da0fb7e69ff6858f6805294562a7ca7e2e7b85786f12602"),
+}
+
+
+class TestGoldenDigests:
+    def test_every_kind_is_pinned(self):
+        assert set(GOLDEN_DIGESTS) == set(REQUEST_TYPES)
+        assert CACHE_SCHEMA_VERSION == 10
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+    def test_digest_is_byte_identical(self, kind):
+        payload, digest = GOLDEN_DIGESTS[kind]
+        assert request_digest(kind, parse_request(kind, payload)) == digest
 
 
 class TestParsePlace:
@@ -76,10 +114,15 @@ class TestParsePlace:
                 parse_request(kind, {"topology": "grid-25"})
             assert "known: ['ensemble', 'evaluate'" in str(err.value)
 
-    def test_every_kind_has_an_executor(self):
+    def test_every_kind_has_an_executor(self, tmp_path):
+        from repro.service import ArtifactStore, JobQueue, Scheduler
         from repro.service.requests import REQUEST_TYPES
-        from repro.service.scheduler import EXECUTORS
-        assert set(EXECUTORS) == set(REQUEST_TYPES)
+        for cls in REQUEST_TYPES.values():
+            assert "execute" in vars(cls), cls.__name__
+        store = ArtifactStore(tmp_path)
+        scheduler = Scheduler(JobQueue(store), store)
+        assert scheduler.executors == {
+            kind: cls.execute for kind, cls in REQUEST_TYPES.items()}
 
     def test_non_string_kind(self):
         with pytest.raises(RequestError):
@@ -137,6 +180,15 @@ class TestParseFidelity:
         with pytest.raises(RequestError):
             parse_request("fidelity", {"topology": "grid-25",
                                        "workloads": ["astrology-7"]})
+
+    @pytest.mark.parametrize("workloads", [[5], [None], ["bv-4", 7]])
+    def test_non_string_workloads_rejected(self, workloads):
+        """Type confusion in a name list is a 400, not an escaping
+        TypeError/AttributeError."""
+        with pytest.raises(RequestError) as err:
+            parse_request("fidelity", {"topology": "grid-25",
+                                       "workloads": workloads})
+        assert "workloads" in str(err.value)
 
 
 class TestParseMap:

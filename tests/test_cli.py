@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core import PlacerConfig
+from repro.io.serialization import canonicalize
 
 
 class TestParser:
@@ -166,6 +169,28 @@ class TestCommands:
         assert main(["place", "grid-25", "--classic"]) == 0
         assert "classic" in capsys.readouterr().out
 
+    def test_place_and_profile_classic_build_the_same_config(
+            self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def record(config):
+            raise Built(config)
+
+        monkeypatch.setattr(cli, "QPlacer", record)
+        flags = ["grid-9", "--classic", "--interaction-backend", "sparse",
+                 "--density-flush-interval", "3"]
+        configs = []
+        for command in ("place", "profile"):
+            with pytest.raises(Built) as built:
+                main([command] + flags)
+            configs.append(built.value.args[0])
+        assert configs[0] == configs[1]
+        assert configs[0] == PlacerConfig(
+            interaction_backend="sparse",
+            density_flush_interval=3).as_classic()
+        assert not configs[0].frequency_aware
+
     def test_evaluate_small(self, capsys):
         code = main(["evaluate", "grid-25", "--mappings", "3",
                      "--benchmarks", "bv-4"])
@@ -260,6 +285,9 @@ class TestWorkloadCommands:
         {"placement_seed": 7},
         {"segment_size_mm": 0.5},
         {"strategies": ["qplacer", "classic"]},
+        # shards placed with different incremental-density settings
+        {"config": canonicalize(PlacerConfig(
+            density_flush_interval=4, density_move_threshold_mm=0.05))},
     ])
     def test_merge_rejects_mismatched_shards(self, tmp_path, mismatch):
         import json
@@ -270,7 +298,7 @@ class TestWorkloadCommands:
                 "num_mappings": 2, "base_seed": 0, "shard_index": 0,
                 "strategies": ["qplacer"], "placement_seed": 0,
                 "segment_size_mm": 0.3, "interaction_backend": "auto",
-                "fidelity": {}}
+                "config": canonicalize(PlacerConfig()), "fidelity": {}}
         a.write_text(json.dumps(base))
         b.write_text(json.dumps({**base, **mismatch, "shard_index": 1}))
         with pytest.raises(SystemExit):
