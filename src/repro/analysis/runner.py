@@ -84,7 +84,11 @@ from ..io.serialization import canonical_json
 #:    switch and its 11 annealing/racing knobs (every config-bearing
 #:    digest re-keys), PlacementResult lost its per-member score dict
 #:    (pickled suite shape changed), and the ``refine`` kind is gone.
-CACHE_SCHEMA_VERSION = 10
+#: 11: detailed pass on a static site graph — swap partners come from an
+#:    exact 2.5 mm Chebyshev window (was: the legalizer's hash cells),
+#:    so condor-class (sparse) layouts and repaired ensemble samples
+#:    change; the BB step no longer depends on the BLAS thread count.
+CACHE_SCHEMA_VERSION = 11
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"

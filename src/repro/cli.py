@@ -145,7 +145,7 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
                              "on the paper tiers (default auto)")
     parser.add_argument("--legalizer-screening", choices=("hash", "scan"),
                         default="hash",
-                        help="legalizer neighbor screening: spatial-hash "
+                        help="legalizer neighbor screening: cell-grid "
                              "buckets (default) or the reference "
                              "full-array scan (identical layouts, for "
                              "A/B timing)")

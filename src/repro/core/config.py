@@ -56,7 +56,7 @@ class PlacerConfig:
         spiral_max_radius_sites: Search bound of the greedy spiral.
         detailed_passes: Post-legalization refinement sweeps; ``None``
             resolves per problem size (:meth:`resolved_detailed_passes`).
-        legalizer_screening: ``"hash"`` (spatial-hash candidate screen)
+        legalizer_screening: ``"hash"`` (cell-grid candidate screen)
             or ``"scan"`` (full-array mask baseline).
 
     Spatial interaction backend (:mod:`repro.core.interactions`):
@@ -117,9 +117,10 @@ class PlacerConfig:
     #: the dense paper tiers (whose layouts stay bit-identical).
     detailed_passes: Optional[int] = None
     #: Candidate screening of the legalizer's feasibility checks:
-    #: ``"hash"`` queries the linked-cell spatial hash (superset screen,
+    #: ``"hash"`` queries the legalizer's cell grid (superset screen,
     #: identical verdicts), ``"scan"`` keeps the full-array mask path —
-    #: the pre-hash baseline the perf bench measures against.
+    #: the baseline the perf bench measures against.  Placements are
+    #: identical under both.
     legalizer_screening: str = "hash"
 
     # spatial interaction backend (see repro.core.interactions)

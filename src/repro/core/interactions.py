@@ -277,6 +277,13 @@ class RequiredGapTable:
             r: np.asarray(sorted(qs), dtype=np.int64)
             for r, qs in qubits_of.items()
         }
+        # Per-call lookups for :meth:`pairs`, as plain tuples.
+        self._half_clear = 0.5 * self._clear
+        self._attached_ids = {qi: tuple(r.tolist())
+                              for qi, r in self._attached.items()}
+        self._qubit_ids_of_resonator = {
+            r: tuple(qs.tolist())
+            for r, qs in self._qubits_of_resonator.items()}
         self._rows: Dict[Tuple[int, bool], np.ndarray] = {}
         self._strict_matrix: Optional[np.ndarray] = None
         self._relaxed_matrix: Optional[np.ndarray] = None
@@ -365,23 +372,23 @@ class RequiredGapTable:
                     else np.zeros(js.shape[0], dtype=bool))
         # Membership sets here hold 1-4 ids; direct comparisons beat
         # np.isin's sort-based machinery by ~40x at this size.
-        rids = self._attached.get(i)
-        if rids is not None:
-            for r in rids.tolist():
-                intended = intended | (res_js == r)
+        for r in self._attached_ids.get(i, ()):
+            intended |= res_js == r
         if ri >= 0:
-            partners = self._qubits_of_resonator.get(ri)
-            if partners is not None:
-                for q in partners.tolist():
-                    intended = intended | (js == q)
-        clear_req = 0.5 * (self._clear[i] + self._clear[js])
-        if not strict:
-            return np.where(intended, 0.0, clear_req)
-        resonant = (np.abs(self._freqs[i] - self._freqs[js])
-                    <= self._threshold)
-        pad_req = self._pads[i] + self._pads[js]
-        return np.where(intended, 0.0,
-                        np.where(resonant, pad_req, clear_req))
+            for q in self._qubit_ids_of_resonator.get(ri, ()):
+                intended |= js == q
+        # 0.5 * c_i + 0.5 * c_j equals 0.5 * (c_i + c_j) exactly: halving
+        # is exact, so both round the same real number.
+        req = self._half_clear[js]
+        req += self._half_clear[i]
+        if strict:
+            pad_req = self._pads[js]
+            pad_req += self._pads[i]
+            np.copyto(req, pad_req, where=np.abs(self._freqs[js]
+                                                 - self._freqs[i])
+                      <= self._threshold)
+        req[intended] = 0.0
+        return req
 
 
 # ---------------------------------------------------------------------------

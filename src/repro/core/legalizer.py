@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -64,7 +64,7 @@ class SpiralExhaustedError(RuntimeError):
         sites_attempted: Total lattice sites screened.
         neighbors_in_reach: Placed instances inside the outermost ring's
             interaction reach of the target.
-        densest_cell_count: Occupancy of the most crowded hash-cell-
+        densest_cell_count: Occupancy of the most crowded grid-cell-
             sized neighbourhood among those neighbours.
         densest_cell_mm: Centre ``(x, y)`` of that neighbourhood.
     """
@@ -111,114 +111,133 @@ class LegalizeStats:
                                             compare=False)
 
 
-#: Packed cell keys: ``(cx + OFFSET) * STRIDE + (cy + OFFSET)``.  With
-#: cell sizes >= 0.5 mm, |cx| < 2**20 covers coordinates to ~500 km —
-#: far past any chip region — and the packed key fits int64 (< 2**42).
-_KEY_OFFSET = 1 << 20
-_KEY_STRIDE = 1 << 21
+class _CellGrid:
+    """Array-backed uniform cell grid of placed instances.
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_IDS.setflags(write=False)
+    Every cell owns ``depth`` slots of one preallocated ``(nx, ny,
+    depth)`` int64 array plus an occupancy count, and each instance
+    remembers its cell and slot: adds and removes are O(1) (a remove
+    moves the cell's last member into the freed slot).  A query gathers
+    whole cell blocks and masks the unused slots, with no per-member
+    Python loop.  The depth doubles when a cell overflows.
 
-
-class _SpatialHash:
-    """Flat linked-cell index of placed instances.
-
-    Cell membership lives in three preallocated int64 arrays — ``_next``
-    / ``_prev`` intrusive list links and ``_cell`` (the packed cell key
-    an instance currently occupies, ``-1`` when absent) — plus one dict
-    from packed cell key to list head.  Adds and removes are O(1)
-    pointer splices with no per-bucket set/list churn, and batched
-    queries (:meth:`near_many`) walk every covered cell exactly once.
+    Points outside the ``lo``/``hi`` bounds clamp to the border cells.
+    Clamping is monotone and 1-Lipschitz in cell units, so a clamped
+    query still covers every clamped member within its radius: results
+    stay supersets wherever the points lie.
     """
 
-    def __init__(self, cell_size: float, capacity: int) -> None:
+    def __init__(self, cell_size: float, capacity: int,
+                 lo: Tuple[float, float], hi: Tuple[float, float]) -> None:
         self.cell = float(cell_size)
-        self._next = np.full(capacity, -1, dtype=np.int64)
-        self._prev = np.full(capacity, -1, dtype=np.int64)
-        self._cell = np.full(capacity, -1, dtype=np.int64)
-        self._heads: Dict[int, int] = {}
+        self._ox = math.floor(lo[0] / self.cell)
+        self._oy = math.floor(lo[1] / self.cell)
+        self._nx = max(math.floor(hi[0] / self.cell) - self._ox + 1, 1)
+        self._ny = max(math.floor(hi[1] / self.cell) - self._oy + 1, 1)
+        self._count = np.zeros((self._nx, self._ny), dtype=np.int64)
+        self._slots = np.empty((self._nx, self._ny, 4), dtype=np.int64)
+        self._lanes = np.arange(4, dtype=np.int64)
+        # Per-instance cell and slot; cx == -1 marks an absent instance.
+        self._cx = [-1] * capacity
+        self._cy = [0] * capacity
+        self._slot = [0] * capacity
 
-    def _key(self, x: float, y: float) -> int:
-        return ((int(math.floor(x / self.cell)) + _KEY_OFFSET) * _KEY_STRIDE
-                + int(math.floor(y / self.cell)) + _KEY_OFFSET)
+    def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
+        cx = min(max(math.floor(x / self.cell) - self._ox, 0), self._nx - 1)
+        cy = min(max(math.floor(y / self.cell) - self._oy, 0), self._ny - 1)
+        return cx, cy
 
     def add(self, idx: int, x: float, y: float) -> None:
-        key = self._key(x, y)
-        head = self._heads.get(key, -1)
-        self._next[idx] = head
-        self._prev[idx] = -1
-        if head >= 0:
-            self._prev[head] = idx
-        self._heads[key] = idx
-        self._cell[idx] = key
+        cx, cy = self._cell_of(x, y)
+        k = int(self._count[cx, cy])
+        if k == self._lanes.size:
+            depth = 2 * k
+            slots = np.empty((self._nx, self._ny, depth), dtype=np.int64)
+            slots[:, :, :k] = self._slots
+            self._slots = slots
+            self._lanes = np.arange(depth, dtype=np.int64)
+        self._slots[cx, cy, k] = idx
+        self._count[cx, cy] = k + 1
+        self._cx[idx] = cx
+        self._cy[idx] = cy
+        self._slot[idx] = k
 
     def remove(self, idx: int) -> None:
-        key = int(self._cell[idx])
-        if key < 0:
+        cx = self._cx[idx]
+        if cx < 0:
             return
-        nxt = int(self._next[idx])
-        prv = int(self._prev[idx])
-        if prv >= 0:
-            self._next[prv] = nxt
-        elif nxt >= 0:
-            self._heads[key] = nxt
-        else:
-            del self._heads[key]
-        if nxt >= 0:
-            self._prev[nxt] = prv
-        self._cell[idx] = -1
+        cy = self._cy[idx]
+        k = self._slot[idx]
+        last = int(self._count[cx, cy]) - 1
+        if k != last:
+            moved = int(self._slots[cx, cy, last])
+            self._slots[cx, cy, k] = moved
+            self._slot[moved] = k
+        self._count[cx, cy] = last
+        self._cx[idx] = -1
 
     def move(self, idx: int, x: float, y: float) -> None:
         self.remove(idx)
         self.add(idx, x, y)
 
-    def _collect(self, keys: np.ndarray) -> np.ndarray:
-        """All member indices of the given packed cell keys."""
-        out: List[int] = []
-        heads = self._heads
-        nxt = self._next
-        for key in keys.tolist():
-            j = heads.get(key, -1)
-            while j >= 0:
-                out.append(j)
-                j = int(nxt[j])
-        if not out:
-            return _EMPTY_IDS
-        return np.asarray(out, dtype=np.int64)
+    def _block(self, ax: int, bx: int, ay: int, by: int) -> np.ndarray:
+        """Members of the cell rectangle ``[ax, bx) x [ay, by)``."""
+        counts = self._count[ax:bx, ay:by]
+        live = self._lanes < counts[:, :, None]
+        return self._slots[ax:bx, ay:by][live]
 
     def near_many(self, xs: np.ndarray, ys: np.ndarray,
                   radius: float) -> np.ndarray:
         """Instances within ``radius`` (per axis) of ANY query point.
 
-        Returns a superset: every placed instance whose centre lies
+        Returns a superset: every tracked instance whose centre lies
         within ``radius`` on both axes of at least one ``(xs, ys)``
-        point is included (each exactly once — an instance occupies one
-        cell), plus whatever else shares the covered cells.
+        point is included (each exactly once, since an instance occupies
+        one cell), plus whatever else shares the covered cells.
         """
         span = int(math.ceil(radius / self.cell))
-        cx = np.floor(np.asarray(xs, dtype=float) / self.cell).astype(np.int64)
-        cy = np.floor(np.asarray(ys, dtype=float) / self.cell).astype(np.int64)
-        offs = np.arange(-span, span + 1, dtype=np.int64)
-        gx = cx[:, None, None] + offs[None, :, None]
-        gy = cy[:, None, None] + offs[None, None, :]
-        keys = np.unique((gx + _KEY_OFFSET) * _KEY_STRIDE
-                         + (gy + _KEY_OFFSET))
-        return self._collect(keys)
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        # Cell indices are monotone in the coordinates: the bounding box
+        # of the points' cells comes from their coordinate extremes.
+        # (Python min/max beat numpy reductions on a few dozen points.)
+        xl, yl = xs.tolist(), ys.tolist()
+        lx, ly = self._cell_of(min(xl), min(yl))
+        hx, hy = self._cell_of(max(xl), max(yl))
+        ax = max(lx - span, 0)
+        bx = min(hx + span, self._nx - 1) + 1
+        ay = max(ly - span, 0)
+        by = min(hy + span, self._ny - 1) + 1
+        if bx - ax <= 2 * span + 3 and by - ay <= 2 * span + 3:
+            # Compact queries (one site, a ring-1 frontier) cover their
+            # whole bounding box anyway: one slice, no marking.
+            return self._block(ax, bx, ay, by)
+        # Mark the points' cells inside the bounding box, dilate the
+        # marks by ``span`` cells, and gather the marked cells.
+        cx = np.floor(xs / self.cell).astype(np.int64) - self._ox
+        cy = np.floor(ys / self.cell).astype(np.int64) - self._oy
+        mark = np.zeros((bx - ax, by - ay), dtype=bool)
+        mark[np.minimum(np.maximum(cx, lx), hx) - ax,
+             np.minimum(np.maximum(cy, ly), hy) - ay] = True
+        for _ in range(span):
+            grown = mark.copy()
+            grown[1:] |= mark[:-1]
+            grown[:-1] |= mark[1:]
+            mark = grown.copy()
+            mark[:, 1:] |= grown[:, :-1]
+            mark[:, :-1] |= grown[:, 1:]
+        gx, gy = np.nonzero(mark)
+        gx += ax
+        gy += ay
+        live = self._lanes < self._count[gx, gy][:, None]
+        return self._slots[gx, gy][live]
 
     def near_array(self, x: float, y: float, radius: float) -> np.ndarray:
         """Single-point :meth:`near_many` (superset of true neighbours)."""
         span = int(math.ceil(radius / self.cell))
-        kx = int(math.floor(x / self.cell))
-        ky = int(math.floor(y / self.cell))
-        offs = np.arange(-span, span + 1, dtype=np.int64)
-        keys = (((kx + offs[:, None] + _KEY_OFFSET) * _KEY_STRIDE)
-                + ky + offs[None, :] + _KEY_OFFSET).ravel()
-        return self._collect(keys)
-
-    def near(self, x: float, y: float, radius: float) -> Iterable[int]:
-        """Indices of instances whose centres may lie within ``radius``."""
-        yield from self.near_array(x, y, radius).tolist()
+        cx, cy = self._cell_of(x, y)
+        return self._block(max(cx - span, 0), min(cx + span, self._nx - 1) + 1,
+                           max(cy - span, 0), min(cy + span, self._ny - 1) + 1)
 
 
 @lru_cache(maxsize=16)
@@ -240,6 +259,11 @@ def _spiral_offsets_array(max_radius: int) -> np.ndarray:
     out = np.stack([dx[order], dy[order]], axis=1)
     out.setflags(write=False)
     return out
+
+
+#: Ring-1 lattice offsets ``(dx, dy)`` in ``dx``-major order.
+_RING1 = np.array([(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                   if (dx, dy) != (0, 0)], dtype=np.int64)
 
 
 def _ring_bounds(ring: int) -> Tuple[int, int]:
@@ -264,15 +288,19 @@ class Legalizer:
         self.positions = np.zeros_like(p.initial_positions)
         self._placed: Set[int] = set()
         # Interaction radius: the largest possible required gap plus the
-        # largest instance extent — hash queries beyond it are never needed.
+        # largest instance extent — grid queries beyond it are never needed.
         max_half = float(np.max(p.sizes)) / 2.0
-        max_gap = float(2.0 * np.max(p.paddings))
+        max_gap = max(float(2.0 * np.max(p.paddings)),
+                      float(np.max(p.clearances)))
         self._interact_radius = 2.0 * max_half + max_gap + 1e-6
-        self._hash = _SpatialHash(cell_size=max(self._interact_radius, 0.5),
-                                  capacity=p.num_instances)
-        #: "hash" screens candidate neighbourhoods through the spatial
-        #: hash (superset queries — verdicts identical by construction);
-        #: "scan" keeps the pre-hash full-array mask path for A/B runs.
+        reach = self._interact_radius
+        self._grid = _CellGrid(
+            cell_size=max(reach, 0.5), capacity=p.num_instances,
+            lo=(p.region.x - reach, p.region.y - reach),
+            hi=(p.region.x2 + reach, p.region.y2 + reach))
+        #: "hash" screens candidate neighbourhoods through the cell grid
+        #: (superset queries — verdicts identical by construction);
+        #: "scan" keeps the full-array mask path for A/B runs.
         self._screening = self.config.legalizer_screening
         self._txn_open = False
         self._segs_by_res: Optional[Dict[int, List[int]]] = None
@@ -285,38 +313,44 @@ class Legalizer:
 
         n = p.num_instances
         self._placed_mask = np.zeros(n, dtype=bool)
-        self._half = 0.5 * np.asarray(p.sizes, dtype=float)
+        half = 0.5 * np.asarray(p.sizes, dtype=float)
+        self._half_w = half[:, 0].copy()
+        self._half_h = half[:, 1].copy()
         self._req = RequiredGapTable(
             p.resonator_index, p.frequencies, p.clearances, p.paddings,
             p.attached_resonators, self.config.detuning_threshold_ghz,
             backend=self.config.resolved_interaction_backend(n))
 
-    @property
-    def _offsets(self) -> List[Tuple[int, int]]:
-        """Seed-compatible spiral offsets as a list of tuples."""
-        return [(int(dx), int(dy)) for dx, dy in self._offsets_arr]
-
     # -- geometric feasibility ---------------------------------------------------
 
-    def _gap(self, i: int, xi: float, yi: float, j: int) -> float:
-        """Edge-to-edge gap between instance i at (xi, yi) and placed j."""
-        p = self.problem
-        xj, yj = self.positions[j]
-        gx = abs(xi - xj) - 0.5 * (p.sizes[i, 0] + p.sizes[j, 0])
-        gy = abs(yi - yj) - 0.5 * (p.sizes[i, 1] + p.sizes[j, 1])
-        return math.hypot(max(gx, 0.0), max(gy, 0.0)) if (gx > 0 or gy > 0) \
-            else max(gx, gy)
+    def _clear_sites(self, i: int, sx, sy, js: np.ndarray,
+                     req: np.ndarray):
+        """Verdicts: can ``i`` sit at ``(sx, sy)`` next to the placed ``js``?
 
-    def _gaps_to(self, js: np.ndarray, i: int, x: float, y: float) -> np.ndarray:
-        """Edge-to-edge gaps from instance ``i`` at ``(x, y)`` to ``js``."""
+        ``sx``/``sy`` are one site (floats, one verdict) or ``(m, 1)``
+        columns (``m`` verdicts).  The edge-to-edge gap of two boxes is
+        ``hypot(max(gx, 0), max(gy, 0))`` when they are apart and the
+        larger (non-positive) axis overlap ``max(gx, gy)`` when they
+        overlap.  Written as ``hypot(...) + min(max(gx, gy), 0)``, one
+        term is exactly zero in either case, so the sum reproduces both
+        branches bit for bit with in-place arithmetic on one
+        (sites x neighbours) array.
+        """
         pos = self.positions[js]
-        gx = np.abs(x - pos[:, 0]) - (self._half[i, 0] + self._half[js, 0])
-        gy = np.abs(y - pos[:, 1]) - (self._half[i, 1] + self._half[js, 1])
-        gxc = np.maximum(gx, 0.0)
-        gyc = np.maximum(gy, 0.0)
-        return np.where((gx > 0.0) | (gy > 0.0),
-                        np.sqrt(gxc * gxc + gyc * gyc),
-                        np.maximum(gx, gy))
+        gx = np.abs(sx - pos[:, 0])
+        gx -= self._half_w[i] + self._half_w[js]
+        gy = np.abs(sy - pos[:, 1])
+        gy -= self._half_h[i] + self._half_h[js]
+        overlap = np.maximum(gx, gy)
+        np.minimum(overlap, 0.0, out=overlap)
+        np.maximum(gx, 0.0, out=gx)
+        np.maximum(gy, 0.0, out=gy)
+        gx *= gx
+        gy *= gy
+        gx += gy
+        np.sqrt(gx, out=gx)
+        gx += overlap
+        return (gx >= req - _TOL).all(axis=-1)
 
     def _neighbor_mask(self, x: float, y: float, reach: float) -> np.ndarray:
         """Placed instances whose centre lies within ``reach`` per axis."""
@@ -327,11 +361,16 @@ class Legalizer:
 
     def _screen(self, js: np.ndarray, i: int,
                 ignore: Tuple[int, ...]) -> np.ndarray:
-        """Drop ``i`` and ``ignore`` from a hash query result."""
-        if js.size == 0:
+        """Drop ``i`` and ``ignore`` from a grid query result.
+
+        The grid holds exactly the placed instances, so only placed ones
+        can be in ``js`` (callers usually lift ``i`` first).
+        """
+        drop = [j for j in (i, *ignore) if self._placed_mask[j]]
+        if not drop or js.size == 0:
             return js
-        keep = js != i
-        for j in ignore:
+        keep = js != drop[0]
+        for j in drop[1:]:
             keep &= js != j
         return js[keep]
 
@@ -340,7 +379,7 @@ class Legalizer:
                    enforce_resonant: Optional[bool] = None) -> bool:
         """Check all spacing rules for instance ``i`` at ``(x, y)``.
 
-        The neighbourhood screen — hash cells or a full-array mask,
+        The neighbourhood screen — grid cells or a full-array mask,
         per ``config.legalizer_screening`` — only decides *which*
         instances get a gap check; any instance beyond the interaction
         radius passes trivially (its gap exceeds every possible
@@ -359,12 +398,11 @@ class Legalizer:
             req = self._req.lookup(i, js, enforce_resonant)
         else:
             js = self._screen(
-                self._hash.near_array(x, y, self._interact_radius), i, ignore)
+                self._grid.near_array(x, y, self._interact_radius), i, ignore)
             if js.size == 0:
                 return True
             req = self._req.pairs(i, js, enforce_resonant)
-        gaps = self._gaps_to(js, i, x, y)
-        return bool(np.all(gaps >= req - _TOL))
+        return bool(self._clear_sites(i, x, y, js, req))
 
     def _first_feasible_site(self, i: int, sites: Sequence[Tuple[float, float]],
                              ignore: Tuple[int, ...] = (),
@@ -376,15 +414,16 @@ class Legalizer:
         whole candidate batch is screened against the neighbourhood with
         one (sites x neighbours) gap matrix.
         """
-        if not sites:
+        arr = np.asarray(sites, dtype=float).reshape(-1, 2)
+        if arr.shape[0] == 0:
             return None
         if enforce_resonant is None:
             enforce_resonant = self.config.frequency_aware
-        arr = np.asarray(sites, dtype=float)
+        sx, sy = arr[:, 0], arr[:, 1]
         if self._screening == "scan":
-            cx = 0.5 * (arr[:, 0].min() + arr[:, 0].max())
-            cy = 0.5 * (arr[:, 1].min() + arr[:, 1].max())
-            reach = (max(arr[:, 0].max() - cx, arr[:, 1].max() - cy)
+            cx = 0.5 * (sx.min() + sx.max())
+            cy = 0.5 * (sy.min() + sy.max())
+            reach = (max(sx.max() - cx, sy.max() - cy)
                      + self._interact_radius)
             mask = self._neighbor_mask(cx, cy, reach)
             mask[i] = False
@@ -394,36 +433,25 @@ class Legalizer:
             req = self._req.lookup(i, js, enforce_resonant) if js.size else None
         else:
             js = self._screen(
-                self._hash.near_many(arr[:, 0], arr[:, 1],
-                                     self._interact_radius), i, ignore)
+                self._grid.near_many(sx, sy, self._interact_radius), i, ignore)
             req = self._req.pairs(i, js, enforce_resonant) if js.size else None
         if js.size == 0:
-            return (float(arr[0, 0]), float(arr[0, 1]))
-        pos = self.positions[js]
-        gx = (np.abs(arr[:, 0][:, None] - pos[None, :, 0])
-              - (self._half[i, 0] + self._half[js, 0])[None, :])
-        gy = (np.abs(arr[:, 1][:, None] - pos[None, :, 1])
-              - (self._half[i, 1] + self._half[js, 1])[None, :])
-        gxc = np.maximum(gx, 0.0)
-        gyc = np.maximum(gy, 0.0)
-        gaps = np.where((gx > 0.0) | (gy > 0.0),
-                        np.sqrt(gxc * gxc + gyc * gyc),
-                        np.maximum(gx, gy))
-        ok = np.all(gaps >= req[None, :] - _TOL, axis=1)
-        hits = np.flatnonzero(ok)
+            return (float(sx[0]), float(sy[0]))
+        hits = np.flatnonzero(
+            self._clear_sites(i, sx[:, None], sy[:, None], js, req))
         if hits.size == 0:
             return None
         k = int(hits[0])
-        return (float(arr[k, 0]), float(arr[k, 1]))
+        return (float(sx[k]), float(sy[k]))
 
     def _place(self, i: int, x: float, y: float) -> None:
         self.positions[i] = (x, y)
-        self._hash.add(i, x, y)
+        self._grid.add(i, x, y)
         self._placed.add(i)
         self._placed_mask[i] = True
 
     def _unplace(self, i: int) -> None:
-        self._hash.remove(i)
+        self._grid.remove(i)
         self._placed.discard(i)
         self._placed_mask[i] = False
 
@@ -464,29 +492,19 @@ class Legalizer:
                 js = np.flatnonzero(mask)
                 req = req_row[js] if js.size else None
             else:
-                # Hash screen per ring: the union of each site's
+                # Grid screen per ring: the union of each site's
                 # interaction ball covers the ring's perimeter, not the
                 # whole disc the scan mask sweeps — on large rings that
                 # is the difference between O(ring) and O(ring^2) work.
                 js = self._screen(
-                    self._hash.near_many(sx, sy, self._interact_radius),
+                    self._grid.near_many(sx, sy, self._interact_radius),
                     i, ())
                 req = (self._req.pairs(i, js, enforce_resonant)
                        if js.size else None)
             if js.size == 0:
                 ok = np.ones(hi - lo, dtype=bool)
             else:
-                pos = self.positions[js]
-                gx = (np.abs(sx[:, None] - pos[None, :, 0])
-                      - (self._half[i, 0] + self._half[js, 0])[None, :])
-                gy = (np.abs(sy[:, None] - pos[None, :, 1])
-                      - (self._half[i, 1] + self._half[js, 1])[None, :])
-                gxc = np.maximum(gx, 0.0)
-                gyc = np.maximum(gy, 0.0)
-                gaps = np.where((gx > 0.0) | (gy > 0.0),
-                                np.sqrt(gxc * gxc + gyc * gyc),
-                                np.maximum(gx, gy))
-                ok = np.all(gaps >= req[None, :] - _TOL, axis=1)
+                ok = self._clear_sites(i, sx[:, None], sy[:, None], js, req)
             for k in np.flatnonzero(ok):
                 yield (float(sx[k]), float(sy[k]))
 
@@ -519,7 +537,7 @@ class Legalizer:
         mask = self._neighbor_mask(float(target[0]), float(target[1]), reach)
         mask[i] = False
         crowd = int(np.count_nonzero(mask))
-        cell = self._hash.cell
+        cell = self._grid.cell
         densest_count = 0
         densest_xy = (float(target[0]), float(target[1]))
         js = np.flatnonzero(mask)
@@ -576,23 +594,47 @@ class Legalizer:
             rows, cols = linear_sum_assignment(cost)
             for r, c in zip(rows, cols):
                 idx = ids[r]
-                self._hash.remove(idx)
                 self.positions[idx] = sites[c]
-                self._hash.add(idx, sites[c][0], sites[c][1])
+                self._grid.move(idx, sites[c][0], sites[c][1])
 
     # -- phase 2: segments (Tetris) ----------------------------------------------------
 
-    def _adjacent_sites(self, anchor_xy: Tuple[float, float],
-                        target: np.ndarray) -> List[Tuple[float, float]]:
-        """Ring-1 lattice sites around ``anchor``, nearest-to-target first."""
+    def _adjacent_sites(self, anchors_xy: np.ndarray,
+                        target: np.ndarray) -> np.ndarray:
+        """Ring-1 lattice sites around each anchor, nearest-to-target first.
+
+        ``anchors_xy`` is ``(m, 2)``; returns the ``(8 m, 2)`` sites
+        anchor by anchor, each anchor's eight sorted by distance to
+        ``target`` (ties keep the ``(dx, dy)`` order).
+        """
         pitch = self._segment_pitch
-        ax = round(anchor_xy[0] / pitch)
-        ay = round(anchor_xy[1] / pitch)
-        sites = [((ax + dx) * pitch, (ay + dy) * pitch)
-                 for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                 if not (dx == 0 and dy == 0)]
-        sites.sort(key=lambda s: (s[0] - target[0]) ** 2 + (s[1] - target[1]) ** 2)
-        return sites
+        base = np.rint(np.asarray(anchors_xy) / pitch).astype(np.int64)
+        sites = ((base[:, None, :] + _RING1) * pitch).reshape(-1, 2)
+        delta = sites - target
+        delta *= delta
+        d2 = (delta[:, 0] + delta[:, 1]).reshape(-1, 8)
+        order = np.argsort(d2, axis=1, kind="stable")
+        order += 8 * np.arange(d2.shape[0])[:, None]
+        return sites[order.ravel()]
+
+    def _first_adjacent_site(self, seg: int, chain: Sequence[int],
+                             target: np.ndarray,
+                             enforce_resonant: Optional[bool] = None
+                             ) -> Optional[Tuple[float, float]]:
+        """First feasible site beside the placed ``chain``, newest first.
+
+        Same answer as trying each member's :meth:`_adjacent_sites` in
+        turn from the newest member back.  The newest alone usually has
+        room, so it is screened first and all older members in one batch.
+        """
+        site = self._first_feasible_site(
+            seg, self._adjacent_sites(self.positions[chain[-1:]], target),
+            enforce_resonant=enforce_resonant)
+        if site is not None or len(chain) == 1:
+            return site
+        return self._first_feasible_site(
+            seg, self._adjacent_sites(self.positions[chain[-2::-1]], target),
+            enforce_resonant=enforce_resonant)
 
     def _legalize_segments(self, global_positions: np.ndarray) -> None:
         """Tetris-like chain placement (T-LG).
@@ -630,15 +672,12 @@ class Legalizer:
                 placed = False
                 # Prefer contiguity: sites adjacent to the previous
                 # sibling, then to any placed sibling.
-                anchors = list(reversed(placed_chain))
-                for anchor in anchors:
-                    site = self._first_feasible_site(
-                        seg, self._adjacent_sites(tuple(self.positions[anchor]),
-                                                  target))
+                if placed_chain:
+                    site = self._first_adjacent_site(seg, placed_chain,
+                                                     target)
                     if site is not None:
                         self._place(seg, site[0], site[1])
                         placed = True
-                        break
                 if not placed:
                     self._spiral_place(seg, target, self._segment_pitch)
                     broke_contiguity = placed_chain != []
@@ -666,24 +705,27 @@ class Legalizer:
             return [ids] if ids else []
         prox = self._proximity_mm()
         pts = self.positions[ids]
-        diff = pts[:, None, :] - pts[None, :, :]
-        adj = (diff[..., 0] ** 2 + diff[..., 1] ** 2) <= prox * prox
-        seen = np.zeros(k, dtype=bool)
+        dx = pts[:, 0, None] - pts[:, 0]
+        dy = pts[:, 1, None] - pts[:, 1]
+        adj = (dx * dx + dy * dy <= prox * prox).tolist()
+        # Depth-first walks over the (small) adjacency lists, one per
+        # component in order of its smallest member.
+        seen = [False] * k
         groups: List[List[int]] = []
         for s in range(k):
             if seen[s]:
                 continue
-            comp = np.zeros(k, dtype=bool)
-            comp[s] = True
-            frontier = comp.copy()
-            while True:
-                grown = adj[frontier].any(axis=0) & ~comp
-                if not grown.any():
-                    break
-                comp |= grown
-                frontier = grown
-            seen |= comp
-            groups.append([ids[t] for t in np.flatnonzero(comp)])
+            seen[s] = True
+            comp = [s]
+            stack = [s]
+            while stack:
+                row = adj[stack.pop()]
+                for t in range(k):
+                    if row[t] and not seen[t]:
+                        seen[t] = True
+                        comp.append(t)
+                        stack.append(t)
+            groups.append([ids[t] for t in sorted(comp)])
         return sorted(groups, key=len, reverse=True)
 
     def _sites_adjacent_to_cluster(self, cluster: Sequence[int],
@@ -849,15 +891,12 @@ class Legalizer:
                         self._place(seg, start_xy[0], start_xy[1])
                         placed = True
                 else:
-                    for anchor in reversed(placed_chain):
-                        site = self._first_feasible_site(
-                            seg, self._adjacent_sites(
-                                tuple(self.positions[anchor]), coil_centre),
-                            enforce_resonant=enforce_resonant)
-                        if site is not None:
-                            self._place(seg, site[0], site[1])
-                            placed = True
-                            break
+                    site = self._first_adjacent_site(
+                        seg, placed_chain, coil_centre,
+                        enforce_resonant=enforce_resonant)
+                    if site is not None:
+                        self._place(seg, site[0], site[1])
+                        placed = True
                 if not placed:
                     for s in placed_chain:
                         self._unplace(s)
@@ -947,16 +986,6 @@ class Legalizer:
             raise ValueError("position array shape mismatch")
         for i in range(self.problem.num_instances):
             self._place(i, float(positions[i, 0]), float(positions[i, 1]))
-
-    def neighbors(self, x: float, y: float, radius_mm: float) -> np.ndarray:
-        """Placed instances whose centres may lie within ``radius_mm``.
-
-        A superset screen (hash-cell resolution) — callers needing the
-        exact set must distance-filter the result.
-        """
-        if self._screening == "scan":
-            return np.flatnonzero(self._neighbor_mask(x, y, radius_mm))
-        return self._hash.near_array(x, y, radius_mm)
 
     def try_moves(self, moves: Sequence[Tuple[int, Tuple[float, float]]],
                   enforce_resonant: Optional[bool] = None) -> bool:

@@ -69,12 +69,15 @@ class NesterovOptimizer:
                 return self._initial_step
             gmax = float(np.abs(grad).max())
             return self.max_move / max(gmax, 1e-12)
-        dv = (self.v - self._prev_v).ravel()
-        dg = (grad - self._prev_grad).ravel()
-        denom = float(dg @ dg)
+        dv = self.v - self._prev_v
+        dg = grad - self._prev_grad
+        # Plain numpy sums, not BLAS dot products: a threaded BLAS splits
+        # long dots across threads, which would make the step (and the
+        # whole layout) depend on the BLAS thread count.
+        denom = float(np.sum(dg * dg))
         if denom <= 1e-18:
             return self.state.step_length or self.max_move
-        return abs(float(dv @ dg)) / denom
+        return abs(float(np.sum(dv * dg))) / denom
 
     def step(self) -> OptimizerState:
         """One Nesterov iteration; returns the updated state."""

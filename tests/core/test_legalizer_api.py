@@ -47,16 +47,6 @@ class TestLoad:
         with pytest.raises(ValueError):
             lg.load(np.zeros((3, 2)))
 
-    def test_neighbors_is_superset_of_true_neighbors(self, loaded):
-        problem, lg, legal = loaded
-        radius = 1.0
-        x, y = float(legal[0, 0]), float(legal[0, 1])
-        got = set(lg.neighbors(x, y, radius).tolist())
-        within = np.flatnonzero(
-            (np.abs(legal[:, 0] - x) <= radius)
-            & (np.abs(legal[:, 1] - y) <= radius))
-        assert set(within.tolist()) <= got
-
 
 class TestTryMoves:
     def test_swap_commit(self, loaded):

@@ -89,3 +89,45 @@ class TestMechanics:
         for _ in range(3):
             opt.step()
         assert np.allclose(opt.x, 1.0)
+
+
+#: Runs the optimizer on a synthetic 8,000-point objective and prints
+#: the bytes of the final iterate (hex).
+_THREADS_SCRIPT = """
+import numpy as np
+from repro.core.optimizer import NesterovOptimizer
+
+rng = np.random.default_rng(3)
+target = rng.normal(size=(8000, 2))
+weight = rng.uniform(0.5, 2.0, size=(8000, 2))
+
+def fn(x):
+    d = x - target
+    return float((weight * d ** 4).sum()), 4.0 * weight * d ** 3
+
+opt = NesterovOptimizer(fn, x0=np.zeros((8000, 2)), max_move=0.5)
+for _ in range(30):
+    opt.step()
+print(opt.x.tobytes().hex())
+"""
+
+
+class TestThreadIndependence:
+    def test_iterate_independent_of_blas_threads(self):
+        """The BB step must not depend on how BLAS splits a dot product."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True, timeout=120)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]

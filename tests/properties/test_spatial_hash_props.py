@@ -1,20 +1,24 @@
-"""Property-based tests: the legalizer's flat linked-cell spatial hash.
+"""Property-based tests: the legalizer's array-backed cell grid.
 
-The hash is a *superset screen*: for any query point and per-axis
+The grid is a *superset screen*: for any query point and per-axis
 radius, every tracked instance whose centre lies within that radius on
 both axes must be returned (extras sharing the covered cells are fine —
 callers re-check exact distances).  These properties pin that contract,
 and the add/remove/move bookkeeping, against a brute-force oracle over
-random operation sequences.
+random operation sequences.  The grid's bounds cover only part of the
+coordinate range, so the properties also hold for points that clamp to
+the border cells; small capacities force slot-depth growth.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.legalizer import _SpatialHash
+from repro.core.legalizer import _CellGrid
 
 CELL = 0.35
+#: Grid bounds: coordinates beyond them clamp to the border cells.
+LO, HI = (-5.0, -3.0), (4.0, 6.0)
 COORD = st.floats(min_value=-20.0, max_value=20.0,
                   allow_nan=False, allow_infinity=False)
 
@@ -38,7 +42,7 @@ def _apply(capacity, ops):
     ``add`` on an already-present index and ``remove`` on an absent one
     are normalised to the legalizer's actual usage (move / no-op).
     """
-    hash_ = _SpatialHash(CELL, capacity)
+    hash_ = _CellGrid(CELL, capacity, LO, HI)
     oracle = {}
     for kind, idx, x, y in ops:
         if kind == "add":
@@ -102,9 +106,11 @@ class TestSupersetScreen:
     @given(op_sequences())
     @settings(max_examples=60, deadline=None)
     def test_near_generator_matches_array(self, seq):
+        """A one-point batched query equals the single-point query."""
         capacity, ops = seq
         hash_, _ = _apply(capacity, ops)
-        assert set(hash_.near(1.0, -1.0, 2.0)) == \
+        assert set(hash_.near_many(np.array([1.0]), np.array([-1.0]),
+                                   2.0).tolist()) == \
             set(hash_.near_array(1.0, -1.0, 2.0).tolist())
 
     @given(op_sequences())

@@ -12,7 +12,7 @@ from repro.service.requests import (REQUEST_TYPES, EvaluateRequest,
                                     check_options, parse_request)
 from repro.service.store import request_digest
 
-#: One payload per kind and its request digest under cache schema 10.
+#: One payload per kind and its request digest under cache schema 11.
 #: Every stored artifact is addressed by these digests, so a refactor
 #: of the request classes (names, fields, normalisation) must leave
 #: them byte-identical; only a deliberate schema bump may move them.
@@ -20,27 +20,27 @@ GOLDEN_DIGESTS = {
     "place": ({"topology": "grid-25", "strategies": ["qplacer", "classic"],
                "seed": 3, "config": {"num_bins": 32, "max_iterations": 60},
                "warm_start": True},
-              "8cee07ea6e4e0368fb9d0fc1b554686897168ea37756ae6702c2b819e46e45de"),
+              "7c33455cc3dbb59c2a6164fc9d7f850c05ff412d017ba5804956589727d1862e"),
     "fidelity": ({"topology": "grid-25", "workloads": ["bv-4", "ghz-5"],
                   "num_mappings": 3, "base_seed": 2,
                   "strategies": "qplacer"},
-                 "66915f36a9fe3c2b2fa8b054295f8318ea8e8a8528045d73920eea2fea3193a2"),
+                 "711c3503b8505786f469472943bfa2fc5b01f2648e807a80334f75918d6a92b1"),
     "map": ({"benchmark": "bv-4", "topology": "grid-25", "num_mappings": 5,
              "base_seed": 1, "router": "basic", "optimization_level": 2},
-            "bbc78cd8c7d4d230df30d7c274c610515d3995d64c9dd8a1d28351c85424dc5d"),
+            "19bebcf8bbd0adae7edbc4ccffe57d486df3be61f97c1dc894c7e7fd35d652a2"),
     "evaluate": ({"num_mappings": 2, "seed": 1},
-                 "66a00c10c5243eebadf93f8c73e7dec3ca98104238aa98efa23ed211a599a8a2"),
+                 "b639f668761dffe168e4a7a133e8d3134c174de9c8c44acc71f266e453f629ba"),
     "ensemble": ({"topology": "grid-25", "sigmas": "0.01,0.05",
                   "samples": 16, "repair_samples": 4,
                   "max_ph_percent": 1.5, "bootstrap": 50},
-                 "0e7d5b81f4b2903a4da0fb7e69ff6858f6805294562a7ca7e2e7b85786f12602"),
+                 "d510360687e7ef1dc36e0a454a5c20b6be1791c9723bc33434ee1278d94e8e2c"),
 }
 
 
 class TestGoldenDigests:
     def test_every_kind_is_pinned(self):
         assert set(GOLDEN_DIGESTS) == set(REQUEST_TYPES)
-        assert CACHE_SCHEMA_VERSION == 10
+        assert CACHE_SCHEMA_VERSION == 11
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
     def test_digest_is_byte_identical(self, kind):
